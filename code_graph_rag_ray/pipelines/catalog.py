@@ -2693,21 +2693,25 @@ def kg_edge_diff_ckpt(sf_dir: str):
     streaming twin (same oracle). The production shape once snapshots are
     checkpointed: snapshot N's tree already exists, so a real run pays
     only v2's build + the changed-partition reads."""
-    import hashlib
     import shutil
+    import tempfile
 
     from code_graph_rag_ray.stages.diff import diff_materialized
     from code_graph_rag_ray.state.lineage import resume_materialize
 
     key = ["subj", "pred", "obj", "provenance_url"]
-    root = "/tmp/graft_ediff_" + hashlib.md5(sf_dir.encode()).hexdigest()[:10]
-    shutil.rmtree(root, ignore_errors=True)
-    for mod, name in ((7, "v1"), (5, "v2")):
-        resume_materialize(
-            _kg_edges_version(sf_dir, mod), f"{root}/{name}", key="subj",
-            sort_by=key, num_partitions=16,
-        )
-    return diff_materialized(f"{root}/v1", f"{root}/v2", on=key)
+    # a private root per call: concurrent runs never share trees; the
+    # diff reads them lazily, so it is materialized before the cleanup
+    root = tempfile.mkdtemp(prefix="graft_ediff_")
+    try:
+        for mod, name in ((7, "v1"), (5, "v2")):
+            resume_materialize(
+                _kg_edges_version(sf_dir, mod), f"{root}/{name}", key="subj",
+                sort_by=key, num_partitions=16,
+            )
+        return diff_materialized(f"{root}/v1", f"{root}/v2", on=key).materialize()
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
 
 
 def kg_path_2hop(sf_dir: str):
@@ -3064,8 +3068,8 @@ def warc_pages(sf_dir: str):
     equal the parquet-path page_extract_text — the oracle is the same
     closed-form SQL, so a frame bug anywhere (date precision, payload
     slicing, record skipping) breaks the hash."""
-    import hashlib
     import shutil
+    import tempfile
 
     from code_graph_rag_ray.sources.pages import pages_from_documents
     from code_graph_rag_ray.sources.warc import (
@@ -3074,13 +3078,15 @@ def warc_pages(sf_dir: str):
     )
     from code_graph_rag_ray.stages.extract import extract_text_batch
 
-    out = "/tmp/graft_warc_" + hashlib.md5(sf_dir.encode()).hexdigest()[:10]
-    shutil.rmtree(out, ignore_errors=True)
-    write_pages_warc_dataset(pages_from_documents(sf_dir), out).count()
-    pages = read_pages_warc(out)
-    return pages.map_batches(
-        extract_text_batch, batch_format="pyarrow"
-    ).select_columns(["url", "text"])
+    # a private root per call, removed once the lazy read is materialized
+    out = tempfile.mkdtemp(prefix="graft_warc_")
+    try:
+        write_pages_warc_dataset(pages_from_documents(sf_dir), out).count()
+        return read_pages_warc(out).map_batches(
+            extract_text_batch, batch_format="pyarrow"
+        ).select_columns(["url", "text"]).materialize()
+    finally:
+        shutil.rmtree(out, ignore_errors=True)
 
 
 def page_structure(sf_dir: str):

@@ -68,6 +68,9 @@ class OrganicFixture:
 
 
 def generate_organic_pages(n_pages: int = 300, seed: int = 7) -> OrganicFixture:
+    """Seeded organic corpus over ``max(16, n_pages // 6)`` Zipf-popular
+    entities, capped at the name pool (288 distinct names, reached at
+    ``n_pages`` ≥ 1,734): larger corpora reuse the same entities."""
     from code_graph_rag_ray.functions.html import extract_text
 
     rng = np.random.default_rng(seed)
@@ -82,6 +85,7 @@ def generate_organic_pages(n_pages: int = 300, seed: int = 7) -> OrganicFixture:
             names.append(nm)
         if len(names) == n_entities:
             break
+    n_entities = len(names)  # the name pool caps the entity count
     entities = [{"entity_id": f"Z{i:05d}", "name": nm}
                 for i, nm in enumerate(names)]
     alias_dict = pa.Table.from_pylist(

@@ -8,8 +8,9 @@ by the near-duplicate clustering operators.
 
 Algorithm: every node starts labeled with itself; each round every node
 takes the min label over itself and its neighbors; converged when no label
-changes. A round is expressed as a **cogroup join** (union the tagged edge
-and label tables, ``groupby(node).map_groups``) followed by a groupby-min —
+changes. A round is expressed as a **cogroup join** (the tagged edge and
+label tables through one ``relational.bucketed_groups`` shuffle on the node
+key, a vectorized hash lookup per bucket) followed by a groupby-min —
 i.e. two hash shuffles on the node key. We deliberately avoid
 ``Dataset.join`` inside the loop: in Ray 2.49 a join's empty hash partitions
 emit schema-less blocks that poison the schema of downstream joins
@@ -29,7 +30,6 @@ not component size, so head components don't concentrate on one task.
 
 from __future__ import annotations
 
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data import Dataset
@@ -45,68 +45,48 @@ def _symmetrize(edges: Dataset, src: str, dst: str) -> Dataset:
     return edges.map_batches(both, batch_format="pyarrow")
 
 
-_NUM_BUCKETS = 32
+def _tagged(ds: Dataset, **cols: str | None) -> Dataset:
+    """One side of a tagged-union cogroup: output column ← input column,
+    or an all-null string column where the source is None."""
+    def tag(b: pa.Table) -> pa.Table:
+        return pa.table({out: b[src] if src else pa.nulls(b.num_rows, pa.string())
+                         for out, src in cols.items()})
+
+    return ds.map_batches(tag, batch_format="pyarrow")
 
 
-def _with_bucket(ds: Dataset, col: str) -> Dataset:
-    """Add ``bucket = crc32(col) % B`` — co-locates equal keys so the
-    cogroup below is a bucketed hash join: one vectorized pandas merge per
-    bucket instead of one Python call per key (per-key map_groups does not
-    survive million-node graphs)."""
-    from code_graph_rag_ray.functions.hashing import partition_ids
-
-    def add(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "bucket", pa.array(partition_ids(b[col], _NUM_BUCKETS), pa.int32())
-        )
-
-    return ds.map_batches(add, batch_format="pyarrow")
+def _lookup(keys: pa.ChunkedArray, dir_keys: pa.ChunkedArray, vals) -> pa.Array:
+    """``vals`` of the first ``dir_keys`` entry equal to each key (null
+    where absent) — one vectorized hash lookup, the per-bucket body of
+    every cogroup below."""
+    return pc.take(vals, pc.index_in(keys, value_set=dir_keys.combine_chunks()))
 
 
 def _propagate_round(sym: Dataset, labels: Dataset) -> Dataset:
     """One message round: every node sends its label to every neighbor.
 
     Implemented as a bucketed cogroup join: edge rows and label rows are
-    tagged, bucketed by the join key's hash, and merged with ONE pandas
-    merge per bucket group — vectorized, skew-bounded (a head node's edges
-    hash to one bucket but the merge is columnar, and the follow-up
-    groupby-min pre-reduces per block)."""
-    edge_rows = _with_bucket(
-        sym.map_batches(
-            lambda b: pa.table(
-                {"key": b["node"], "nbr": b["nbr"],
-                 "label": pa.nulls(b.num_rows, pa.string())}
-            ),
-            batch_format="pyarrow",
-        ),
-        "key",
-    )
-    label_rows = _with_bucket(
-        labels.map_batches(
-            lambda b: pa.table(
-                {"key": b["node"], "nbr": pa.nulls(b.num_rows, pa.string()),
-                 "label": b["label"]}
-            ),
-            batch_format="pyarrow",
-        ),
-        "key",
-    )
+    tagged and meet in one ``bucketed_groups`` shuffle on the key; each
+    bucket looks its edges' labels up in one vectorized pass —
+    skew-bounded (a head node's edges hash to one bucket but the lookup
+    is columnar, and the follow-up groupby-min pre-reduces per block)."""
+    from code_graph_rag_ray.stages.relational import bucketed_groups
 
-    def send(g: pd.DataFrame) -> pd.DataFrame:
-        edges = g[g["label"].isna()][["key", "nbr"]]
-        labs = g[g["nbr"].isna()][["key", "label"]]
-        # neighbor messages: one vectorized merge on the key
-        msgs = edges.merge(labs, on="key")[["nbr", "label"]].rename(
-            columns={"nbr": "node"}
-        )
-        selfm = labs.rename(columns={"key": "node"})[["node", "label"]]
-        return pd.concat([msgs, selfm], ignore_index=True)
+    edge_rows = _tagged(sym, key="node", nbr="nbr", label=None)
+    label_rows = _tagged(labels, key="node", nbr=None, label="label")
 
-    msgs = (
-        edge_rows.union(label_rows)
-        .groupby("bucket")
-        .map_groups(send, batch_format="pandas")
-    )
+    def send(g: pa.Table) -> pa.Table:
+        edges = g.filter(pc.is_null(g["label"]))
+        labs = g.filter(pc.is_valid(g["label"]))
+        # neighbor messages (inner join on the key) plus each node's own
+        msgs = pa.table({"node": edges["nbr"],
+                         "label": _lookup(edges["key"], labs["key"], labs["label"])})
+        return pa.concat_tables([
+            msgs.filter(pc.is_valid(msgs["label"])),
+            pa.table({"node": labs["key"], "label": labs["label"]}),
+        ])
+
+    msgs = bucketed_groups([edge_rows, label_rows], "key", send)
     return msgs.groupby("node").aggregate(Min("label", alias_name="label"))
 
 
@@ -118,70 +98,40 @@ def _compress(labels: Dataset) -> Dataset:
     Implemented as one cogroup on the label value: every node asks the
     "directory" row of its current label for THAT node's label.
     """
-    requests = _with_bucket(
-        labels.map_batches(
-            lambda b: pa.table(
-                {"key": b["label"], "asker": b["node"],
-                 "label": pa.nulls(b.num_rows, pa.string())}
-            ),
-            batch_format="pyarrow",
-        ),
-        "key",
-    )
-    directory = _with_bucket(
-        labels.map_batches(
-            lambda b: pa.table(
-                {"key": b["node"], "asker": pa.nulls(b.num_rows, pa.string()),
-                 "label": b["label"]}
-            ),
-            batch_format="pyarrow",
-        ),
-        "key",
-    )
+    from code_graph_rag_ray.stages.relational import bucketed_groups
 
-    def answer(g: pd.DataFrame) -> pd.DataFrame:
-        reqs = g[g["asker"].notna()][["key", "asker"]]
-        dirs = g[g["asker"].isna()][["key", "label"]].drop_duplicates("key")
-        out = reqs.merge(dirs, on="key", how="left")
+    requests = _tagged(labels, key="label", asker="node", label=None)
+    directory = _tagged(labels, key="node", asker=None, label="label")
+
+    def answer(g: pa.Table) -> pa.Table:
+        reqs = g.filter(pc.is_valid(g["asker"]))
+        dirs = g.filter(pc.is_null(g["asker"]))
         # every label value is itself a node id, so a directory row exists;
         # fall back to the key (self-rooted) defensively
-        out["label"] = out["label"].fillna(out["key"])
-        return out.rename(columns={"asker": "node"})[["node", "label"]]
+        found = _lookup(reqs["key"], dirs["key"], dirs["label"])
+        return pa.table({"node": reqs["asker"],
+                         "label": pc.coalesce(found, reqs["key"])})
 
     return (
-        requests.union(directory)
-        .groupby("bucket")
-        .map_groups(answer, batch_format="pandas")
+        bucketed_groups([requests, directory], "key", answer)
         .groupby("node")
         .aggregate(Min("label", alias_name="label"))
     )
 
 
 def _count_changed(old: Dataset, new: Dataset) -> int:
-    a = _with_bucket(
-        old.map_batches(
-            lambda b: pa.table({"node": b["node"], "old": b["label"],
-                                "new": pa.nulls(b.num_rows, pa.string())}),
-            batch_format="pyarrow",
-        ),
-        "node",
-    )
-    b_ = _with_bucket(
-        new.map_batches(
-            lambda b: pa.table({"node": b["node"], "old": pa.nulls(b.num_rows, pa.string()),
-                                "new": b["label"]}),
-            batch_format="pyarrow",
-        ),
-        "node",
-    )
+    from code_graph_rag_ray.stages.relational import bucketed_groups
 
-    def diff(g: pd.DataFrame) -> pd.DataFrame:
-        o = g[g["old"].notna()][["node", "old"]]
-        n = g[g["new"].notna()][["node", "new"]]
-        m = o.merge(n, on="node")
-        return pd.DataFrame({"c": [int((m["old"] != m["new"]).sum())]})
+    a = _tagged(old, node="node", old="label", new=None)
+    b_ = _tagged(new, node="node", old=None, new="label")
 
-    out = a.union(b_).groupby("bucket").map_groups(diff, batch_format="pandas").sum("c")
+    def diff(g: pa.Table) -> pa.Table:
+        o = g.filter(pc.is_valid(g["old"]))
+        n = g.filter(pc.is_valid(g["new"]))
+        changed = pc.not_equal(o["old"], _lookup(o["node"], n["node"], n["new"]))
+        return pa.table({"c": pa.array([pc.sum(changed).as_py() or 0], pa.int64())})
+
+    out = bucketed_groups([a, b_], "node", diff).sum("c")
     return int(out or 0)
 
 

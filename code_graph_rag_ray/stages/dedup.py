@@ -493,29 +493,19 @@ def exact_dup_clusters(ds: Dataset, *, id_col: str = "doc_id", text_col: str = "
 
 def _dedup_pairs_bucketed(cand: Dataset) -> Dataset:
     """Dedup (a, b, truncated) candidate pairs surfaced by several buckets —
-    hash-bucket cogroup + vectorized drop_duplicates instead of a
-    high-cardinality exact_dedup (NOTES.md fact 25: ~1M distinct pair
-    groups cost 101 s of per-group reduce). Sort puts truncated=False
-    first, matching exact_dedup's Min winner."""
-    from code_graph_rag_ray.functions.hashing import partition_ids
+    one sort + first-of-run pick per ``relational.bucketed_groups``
+    bucket instead of a high-cardinality exact_dedup (NOTES.md fact 25:
+    ~1M distinct pair groups cost 101 s of per-group reduce). The sort
+    puts truncated=False first, matching exact_dedup's Min winner."""
+    from code_graph_rag_ray.stages.relational import bucketed_groups, run_starts
 
-    def pair_bucket(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return b.append_column("pbucket", pa.array([], pa.int32()))
-        key = pc.binary_join_element_wise(
-            pc.cast(b["a"], pa.string()), pc.cast(b["b"], pa.string()), "\x1f")
-        return b.append_column(
-            "pbucket", pa.array(partition_ids(key, 64), pa.int32()))
+    def dedup_pairs(g: pa.Table) -> pa.Table:
+        g = g.select(["a", "b", "truncated"])
+        g = g.take(pc.sort_indices(g, sort_keys=[
+            ("a", "ascending"), ("b", "ascending"), ("truncated", "ascending")]))
+        return g.filter(pa.array(run_starts(g, ["a", "b"])))
 
-    def dedup_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["a", "b", "truncated"], kind="mergesort")
-        return g.drop_duplicates(["a", "b"])[["a", "b", "truncated"]]
-
-    return (
-        cand.map_batches(pair_bucket, batch_format="pyarrow")
-        .groupby("pbucket")
-        .map_groups(dedup_pairs, batch_format="pandas")
-    )
+    return bucketed_groups(cand, ["a", "b"], dedup_pairs)
 
 
 def _pairs_from_buckets(bucket_rows: Dataset, bucket_cols: list[str], id_col: str,
@@ -524,41 +514,39 @@ def _pairs_from_buckets(bucket_rows: Dataset, bucket_cols: list[str], id_col: st
     ``max_group`` are truncated (deterministically, by sorted id) and the
     truncation is recorded via the ``truncated`` column — no silent caps.
 
-    Grouping is by HASH BUCKET of the bucket key, not by the key itself:
-    bucket-key cardinality is corpus-scale (docs × bands) and Ray's
+    Bucket-key cardinality is corpus-scale (docs × bands) and Ray's
     sort-aggregate/map_groups pays a fixed per-GROUP cost that dominated at
-    ~100k groups (NOTES.md fact 25). One task per hash bucket runs a single
-    vectorized self-merge covering all its keys at once.
+    ~100k groups (NOTES.md fact 25), so the keys go through
+    ``relational.bucketed_groups``: each bucket enumerates the pairs of
+    all its keys in one vectorized pass.
     """
-    from code_graph_rag_ray.functions.hashing import partition_ids
-
-    def add_bucket(b: pa.Table) -> pa.Table:
-        key = b[bucket_cols[0]]
-        if not pa.types.is_string(key.type):
-            key = pc.cast(key, pa.string())
-        for c in bucket_cols[1:]:
-            key = pc.binary_join_element_wise(key, pc.cast(b[c], pa.string()),
-                                              "\x1f")
-        t = pa.table({"__k": key, id_col: b[id_col]})
-        return t.append_column(
-            "bucket", pa.array(partition_ids(t["__k"], 64), pa.int32()))
-
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        d = g[["__k", id_col]].drop_duplicates().sort_values(
-            ["__k", id_col], kind="mergesort")
-        rn = d.groupby("__k").cumcount()
-        over = set(d[rn >= max_group]["__k"])
-        d = d[rn < max_group]
-        m = d.merge(d, on="__k")
-        m = m[m[id_col + "_x"] < m[id_col + "_y"]]
-        return pd.DataFrame({"a": m[id_col + "_x"], "b": m[id_col + "_y"],
-                             "truncated": m["__k"].isin(over).to_numpy()})
-
-    return (
-        bucket_rows.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(pairs, batch_format="pandas")
+    from code_graph_rag_ray.stages.relational import (
+        _key_image,
+        _runs,
+        bucketed_groups,
+        run_starts,
     )
+
+    def key_rows(b: pa.Table) -> pa.Table:
+        return pa.table({"__k": _key_image(b, bucket_cols), id_col: b[id_col]})
+
+    def pairs(g: pa.Table) -> pa.Table:
+        d = pa.TableGroupBy(g, ["__k", id_col], use_threads=False).aggregate([])
+        d = d.take(pc.sort_indices(d, sort_keys=[("__k", "ascending"),
+                                                  (id_col, "ascending")]))
+        _, lens, pos = _runs(run_starts(d, ["__k"]))
+        # each row pairs with the later rows of its capped group: ids are
+        # distinct and sorted within a key, so a < b
+        later = np.maximum(np.repeat(np.minimum(lens, max_group), lens) - pos - 1, 0)
+        ii = np.repeat(np.arange(d.num_rows), later)
+        jj = ii + 1 + (np.arange(len(ii)) - np.repeat(np.cumsum(later) - later, later))
+        ids = d[id_col]
+        return pa.table({"a": ids.take(ii), "b": ids.take(jj),
+                         "truncated": pa.array(np.repeat(lens > max_group, lens)[ii],
+                                               pa.bool_())})
+
+    return bucketed_groups(
+        bucket_rows.map_batches(key_rows, batch_format="pyarrow"), "__k", pairs)
 
 
 def minhash_near_dup_pairs(
@@ -795,7 +783,6 @@ def dup_ngram_spans(
     import hashlib
 
     import pyarrow.compute as pc
-    from ray.data.aggregate import Count, Min
 
     from code_graph_rag_ray.stages.tfidf import _TOKEN_SPLIT
 
@@ -865,28 +852,21 @@ def dup_ngram_spans(
     if hash_family not in ("fast", "md5"):
         raise ValueError(f"unknown hash_family {hash_family!r}")
 
-    rows = ds.map_batches(fps, batch_format="pyarrow")
+    from code_graph_rag_ray.stages.relational import bucketed_groups
+
     # fingerprint cardinality ≈ corpus tokens, and Ray's sort-aggregate
     # pays a fixed per-GROUP cost that dominates there (NOTES fact 25):
-    # hash-bucket the fps (they're already uniform hashes) and run ONE
-    # vectorized pandas groupby per bucket instead — same single shuffle,
-    # per-bucket cost O(rows) not O(groups)
-    def bucket(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return b.append_column("__bk", pa.array([], pa.int32()))
-        bk = (b["fp"].to_numpy().astype(np.uint64) % np.uint64(64)).astype(np.int32)
-        return b.append_column("__bk", pa.array(bk))
+    # one vectorized Arrow group_by per bucket instead — same single
+    # shuffle, per-bucket cost O(rows) not O(groups)
+    def agg_bucket(g: pa.Table) -> pa.Table:
+        r = pa.TableGroupBy(g, "fp", use_threads=False).aggregate(
+            [([], "count_all"), (id_col, "min")])
+        r = r.filter(pc.greater_equal(r["count_all"], min_docs))
+        return pa.table({"fp": r["fp"], "n_docs": r["count_all"],
+                         "min_doc": r[f"{id_col}_min"]})
 
-    def agg_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        r = g.groupby("fp", as_index=False).agg(
-            n_docs=(id_col, "size"), min_doc=(id_col, "min"))
-        return r[r.n_docs >= min_docs]
-
-    return (
-        rows.map_batches(bucket, batch_format="pyarrow")
-        .groupby("__bk")
-        .map_groups(agg_bucket, batch_format="pandas")
-    )
+    return bucketed_groups(ds.map_batches(fps, batch_format="pyarrow"), "fp",
+                           agg_bucket)
 
 
 def _ed_le1(a: str, b: str) -> bool:
@@ -967,33 +947,11 @@ def editdist1_pairs(
         return pa.table({"key": pa.array(out_k, pa.string()),
                          col: pa.array(out_s, pa.string())})
 
-    rows = distinct.map_batches(keys, batch_format="pyarrow")
-    # deletion keys are HIGH-cardinality (≈ length × distinct strings), and
-    # Ray's map_groups invokes the UDF once per group — per-key grouping
-    # paid ~20 s at 285k keys (NOTES.md fact on per-group pandas overhead).
-    # Bucket the keys instead: one task per hash bucket, ONE vectorized
-    # self-merge inside covering all its keys at once.
-    from code_graph_rag_ray.functions.hashing import partition_ids
-
-    bucketed = rows.map_batches(
-        lambda b: b.append_column(
-            "bucket", pa.array(partition_ids(b["key"], 64), pa.int32())),
-        batch_format="pyarrow",
-    )
-
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        d = g[["key", col]].drop_duplicates().sort_values(
-            ["key", col], kind="mergesort")
-        rn = d.groupby("key").cumcount()
-        over = d[rn >= max_group]["key"].unique()
-        d = d[rn < max_group]
-        m = d.merge(d, on="key")
-        m = m[m[col + "_x"] < m[col + "_y"]]
-        trunc = m["key"].isin(set(over))
-        return pd.DataFrame({"a": m[col + "_x"], "b": m[col + "_y"],
-                             "truncated": trunc.to_numpy()})
-
-    cand = bucketed.groupby("bucket").map_groups(pairs, batch_format="pandas")
+    # deletion keys are HIGH-cardinality (≈ length × distinct strings):
+    # bucketed candidate generation, never per-key groups (NOTES fact 25)
+    cand = _pairs_from_buckets(
+        distinct.map_batches(keys, batch_format="pyarrow"), ["key"], col,
+        max_group=max_group)
     # cross-key duplicate pairs (a pair can share several deletion keys):
     # bucketized dedup, not a high-cardinality exact_dedup (NOTES fact 25)
     cand = _dedup_pairs_bucketed(cand)
@@ -1306,7 +1264,6 @@ def dup_span_apply(
     text_col: str = "text",
     w: int = 8,
     min_docs: int = 2,
-    num_buckets: int = 64,
     hash_family: str = "md5",
 ) -> Dataset:
     """The APPLY step of duplicated-span dedup (ExactSubstr analog, Lee
@@ -1321,17 +1278,22 @@ def dup_span_apply(
     form shared with ``dup_ngram_spans``) and ``n_removed`` counts masked
     token positions.
 
-    Scale shape: ONE fp-hash-bucketed shuffle serves both detection and
-    the cover join (the per-bucket pandas pass computes distinct-doc
-    counts AND joins qualifying fingerprints back to the position rows it
-    already holds — NOTES fact 25 discipline, never per-fp groups); the
-    masked positions then ride a per-doc aggregate through a bucketed
-    left join back to the corpus, and rebuild re-tokenizes locally. Two
-    exchanges total, both O(windows) not O(corpus²).
+    Scale shape: ONE fp-keyed ``relational.bucketed_groups`` shuffle
+    serves both detection and the cover join (the per-bucket pass counts
+    distinct docs per fp AND selects the covered position rows it already
+    holds — NOTES fact 25 discipline, never per-fp groups); the masked
+    positions then ride a doc-keyed bucketed_groups collect and a
+    bucketed left join back to the corpus, and rebuild re-tokenizes
+    locally. Every exchange is O(windows), never O(corpus²).
     """
     import hashlib
 
-    from code_graph_rag_ray.stages.relational import bucketed_join
+    from code_graph_rag_ray.stages.relational import (
+        _join_runs,
+        bucketed_groups,
+        bucketed_join,
+        run_starts,
+    )
     from code_graph_rag_ray.stages.tfidf import _TOKEN_SPLIT
 
     if hash_family != "md5":
@@ -1351,47 +1313,33 @@ def dup_span_apply(
                 ids_out.append(i)
                 pos_out.append(s)
                 fp_out.append(h)
-        t = pa.table({"fp": pa.array(fp_out, pa.int64()),
-                      id_col: pa.array(ids_out, pa.int64()),
-                      "pos": pa.array(pos_out, pa.int64())})
-        bk = (np.asarray(fp_out, dtype=np.uint64) % np.uint64(num_buckets)
-              ).astype(np.int32) if fp_out else np.array([], np.int32)
-        return t.append_column("__bk", pa.array(bk))
+        return pa.table({"fp": pa.array(fp_out, pa.int64()),
+                         id_col: pa.array(ids_out, pa.int64()),
+                         "pos": pa.array(pos_out, pa.int64())})
 
-    def cover_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        stats = (g.drop_duplicates(["fp", id_col])
-                  .groupby("fp", as_index=False)
-                  .agg(nd=(id_col, "size"), min_doc=(id_col, "min")))
-        qual = stats[stats.nd >= min_docs][["fp", "min_doc"]]
-        cov = g.merge(qual, on="fp")
-        cov = cov[cov[id_col] != cov.min_doc]
-        return pd.DataFrame({id_col: cov[id_col].to_numpy(np.int64),
-                             "pos": cov["pos"].to_numpy(np.int64)})
+    def cover_in_bucket(g: pa.Table) -> pa.Table:
+        g = g.take(pc.sort_indices(g, sort_keys=[("fp", "ascending"),
+                                                  (id_col, "ascending")]))
+        fp_first = run_starts(g, ["fp"])
+        gid = np.cumsum(fp_first) - 1
+        # distinct docs per fp, and its smallest doc (sorted first)
+        n_docs = np.bincount(gid, weights=run_starts(g, ["fp", id_col]))
+        ids = np.asarray(g[id_col].to_numpy(zero_copy_only=False), np.int64)
+        min_doc = ids[np.flatnonzero(fp_first)][gid]
+        keep = (n_docs[gid] >= min_docs) & (ids != min_doc)
+        return pa.table({id_col: pa.array(ids[keep]),
+                         "pos": g["pos"].filter(pa.array(keep))})
 
-    cover = (
-        ds.map_batches(fps_pos, batch_format="pyarrow")
-        .groupby("__bk")
-        .map_groups(cover_in_bucket, batch_format="pandas")
-    )
+    def collect_per_doc(g: pa.Table) -> pa.Table:
+        g = g.take(pc.sort_indices(g, sort_keys=[(id_col, "ascending"),
+                                                  ("pos", "ascending")]))
+        starts = np.flatnonzero(run_starts(g, [id_col]))
+        return pa.table({id_col: g[id_col].take(starts),
+                         "starts": _join_runs(g, starts, "pos", ",")})
 
-    def collect_per_doc(g: pd.DataFrame) -> pd.DataFrame:
-        agg = (g.sort_values([id_col, "pos"], kind="mergesort")
-                .groupby(id_col, as_index=False)
-                .agg(starts=("pos", lambda s: ",".join(map(str, s)))))
-        return pd.DataFrame({id_col: agg[id_col].to_numpy(np.int64),
-                             "starts": agg["starts"].to_numpy(object)})
-
-    def doc_bucket(b: pa.Table) -> pa.Table:
-        from code_graph_rag_ray.functions.hashing import partition_ids
-
-        bk = partition_ids(pc.cast(b[id_col], pa.string()), num_buckets)
-        return b.append_column("__db", pa.array(bk, pa.int32()))
-
-    starts_per_doc = (
-        cover.map_batches(doc_bucket, batch_format="pyarrow", batch_size=None)
-        .groupby("__db")
-        .map_groups(collect_per_doc, batch_format="pandas")
-    )
+    cover = bucketed_groups(ds.map_batches(fps_pos, batch_format="pyarrow"),
+                            "fp", cover_in_bucket)
+    starts_per_doc = bucketed_groups(cover, id_col, collect_per_doc)
 
     # starts_per_doc has a groupby upstream: pass its schema so the join's
     # probe doesn't execute the whole plan twice (NOTES fact 22)

@@ -10,27 +10,20 @@ last-write-wins per key (`graph_service.py:395-428`) — arrival-order
 dependent; this stage replaces that with content-determined voting.
 
 Scale shape: votes fold through the standard partial-count shuffle
-(one row per (s,p,o) per batch); the grouped argmax is the fact-25
-pattern — hash-bucket on (subj, pred), ONE vectorized pandas
-sort + drop_duplicates per bucket — because (subj, pred) group count is
-corpus-scale and Ray's sort-aggregate pays a fixed per-GROUP cost
-(NOTES.md fact 25). Ties break by (votes DESC, obj ASC): content-derived,
-never arrival-order-derived (NOTES.md «Correctness invariants»).
+(one row per (s,p,o) per batch); the grouped argmax runs one vectorized
+Arrow sort + first-of-run pick per ``relational.bucketed_groups``
+bucket, because (subj, pred) group count is corpus-scale and Ray's
+sort-aggregate pays a fixed per-GROUP cost (NOTES.md fact 25). Ties
+break by (votes DESC, obj ASC): content-derived, never
+arrival-order-derived (NOTES.md «Correctness invariants»).
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data import Dataset
-
-_OUT_SCHEMA = pa.schema(
-    [("subj", pa.string()), ("pred", pa.string()), ("obj", pa.string()),
-     ("votes", pa.int64()), ("total_votes", pa.int64()),
-     ("n_objs", pa.int64()), ("dominance_micro", pa.int64())]
-)
 
 
 def fuse_facts(
@@ -39,7 +32,6 @@ def fuse_facts(
     subj: str = "subj",
     pred: str = "pred",
     obj: str = "obj",
-    num_buckets: int = 64,
 ) -> Dataset:
     """(subj, pred, obj, votes, total_votes, n_objs, dominance_micro):
     one row per (subj, pred) carrying its majority-vote object.
@@ -49,8 +41,12 @@ def fuse_facts(
     sources asserting the triple. ``dominance_micro`` =
     (10^6 · votes) // total_votes, exact integer arithmetic.
     """
-    from code_graph_rag_ray.functions.hashing import partition_ids
-    from code_graph_rag_ray.stages.relational import partial_groupby_sum
+    from code_graph_rag_ray.stages.relational import (
+        _runs,
+        bucketed_groups,
+        partial_groupby_sum,
+        run_starts,
+    )
 
     def norm(b: pa.Table) -> pa.Table:
         return pa.table({"subj": pc.cast(b[subj], pa.string()),
@@ -62,47 +58,22 @@ def fuse_facts(
         ["subj", "pred", "obj"], {}, count_alias="votes",
     )
 
-    def add_bucket(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return pa.schema(
-                list(zip(_OUT_SCHEMA.names[:3], _OUT_SCHEMA.types[:3]))
-                + [("votes", pa.int64()), ("bucket", pa.int32())]
-            ).empty_table()
-        key = pc.binary_join_element_wise(
-            pc.cast(b["subj"], pa.string()),
-            pc.cast(b["pred"], pa.string()), "\x1f")
-        return pa.table(
-            {"subj": b["subj"], "pred": b["pred"], "obj": b["obj"],
-             "votes": pc.cast(b["votes"], pa.int64()),
-             "bucket": pa.array(partition_ids(key, num_buckets), pa.int32())}
-        )
-
-    def fuse(g: pd.DataFrame):
-        if len(g) == 0:
-            return _OUT_SCHEMA.empty_table()
-        g = g.sort_values(["subj", "pred", "votes", "obj"],
-                          ascending=[True, True, False, True],
-                          kind="mergesort")
-        grp = g.groupby(["subj", "pred"], sort=False)["votes"]
-        g = g.assign(total_votes=grp.transform("sum"),
-                     n_objs=grp.transform("size"))
-        d = g.drop_duplicates(["subj", "pred"], keep="first")
-        v = d["votes"].to_numpy(np.int64)
-        t = d["total_votes"].to_numpy(np.int64)
+    def fuse(g: pa.Table) -> pa.Table:
+        g = g.take(pc.sort_indices(g, sort_keys=[
+            ("subj", "ascending"), ("pred", "ascending"),
+            ("votes", "descending"), ("obj", "ascending")]))
+        starts, n_objs, _ = _runs(run_starts(g, ["subj", "pred"]))
+        votes = np.asarray(g["votes"].to_numpy(zero_copy_only=False), np.int64)
+        v = votes[starts]
+        t = np.add.reduceat(votes, starts) if len(starts) else v
         # object-dtype product: exact past int64 at extreme vote counts
         micro = ((v.astype(object) * 10**6) // t).astype(np.int64)
+        d = g.take(starts)
         return pa.table(
-            {"subj": pa.array(d["subj"], pa.string()),
-             "pred": pa.array(d["pred"], pa.string()),
-             "obj": pa.array(d["obj"], pa.string()),
-             "votes": pa.array(v),
-             "total_votes": pa.array(t),
-             "n_objs": pa.array(d["n_objs"].to_numpy(np.int64)),
+            {"subj": d["subj"], "pred": d["pred"], "obj": d["obj"],
+             "votes": pa.array(v), "total_votes": pa.array(t),
+             "n_objs": pa.array(n_objs, pa.int64()),
              "dominance_micro": pa.array(micro)}
         )
 
-    return (
-        votes.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(fuse, batch_format="pandas")
-    )
+    return bucketed_groups(votes, ["subj", "pred"], fuse)

@@ -810,7 +810,9 @@ def label_propagation(
     """
     from code_graph_rag_ray.stages.relational import (
         adaptive_join,
+        bucketed_groups,
         partial_groupby_sum,
+        run_starts,
     )
 
     def clean(t: pa.Table) -> pa.Table:
@@ -832,20 +834,16 @@ def label_propagation(
         batch_format="pyarrow",
     ).materialize()
 
-    from code_graph_rag_ray.functions.hashing import partition_ids
-
-    def bucketize(b: pa.Table) -> pa.Table:
-        bk = partition_ids(pc.cast(b["node"], pa.string()), 64)
-        return b.append_column("__bk", pa.array(bk, pa.int32()))
-
-    def pick_bucket(g):
-        # NOTES fact 25: one vectorized pass per hash bucket instead of a
-        # per-node group — final (node, label) weight sum, then argmax by
-        # (w DESC, label ASC) via sort + drop_duplicates
-        g = g.groupby(["node", "label"], as_index=False)["w"].sum()
-        g = g.sort_values(["node", "w", "label"],
-                          ascending=[True, False, True], kind="mergesort")
-        return g.drop_duplicates("node", keep="first")[["node", "label"]]
+    def pick(g: pa.Table) -> pa.Table:
+        # one vectorized pass per bucket instead of a per-node group —
+        # final (node, label) weight sum, then argmax by (w DESC, label ASC)
+        g = pa.TableGroupBy(g, ["node", "label"], use_threads=False).aggregate(
+            [("w", "sum")])
+        g = g.take(pc.sort_indices(g, sort_keys=[
+            ("node", "ascending"), ("w_sum", "descending"),
+            ("label", "ascending")]))
+        return g.filter(pa.array(run_starts(g, ["node"]))).select(
+            ["node", "label"])
 
     def combine_msgs(b: pa.Table) -> pa.Table:
         # batch-local combiner: message rows fold to (node, label, w)
@@ -854,23 +852,21 @@ def label_propagation(
         if b.num_rows == 0:
             return pa.table({"node": pa.array([], pa.string()),
                              "label": pa.array([], pa.string()),
-                             "w": pa.array([], pa.int64()),
-                             "__bk": pa.array([], pa.int32())})
+                             "w": pa.array([], pa.int64())})
         t = pa.table({"node": pc.cast(b["d"], pa.string()),
                       "label": pc.cast(b["label"], pa.string())})
         g = pa.TableGroupBy(t, ["node", "label"],
                             use_threads=False).aggregate([([], "count_all")])
-        out = pa.table({"node": g["node"], "label": g["label"],
-                        "w": pc.cast(g["count_all"], pa.int64())})
-        return bucketize(out)
+        return pa.table({"node": g["node"], "label": g["label"],
+                         "w": pc.cast(g["count_all"], pa.int64())})
 
     for _ in range(iters):
         # labels are node-scale: adaptive_join broadcasts them while they
         # fit a worker budget and degrades to the bucketed cogroup at
         # scale — same rows either way. The whole round is then ONE
-        # exchange: batch-combined (node, label, w) partials union the
-        # prior labels as zero-weight candidates, hash-bucket groupby,
-        # vectorized per-bucket sum + argmax.
+        # exchange: batch-combined (node, label, w) partials and the prior
+        # labels as zero-weight candidates meet in one bucketed_groups
+        # shuffle, vectorized per-bucket sum + argmax.
         msgs = adaptive_join(
             sym, labels, on="s", right_on="node",
             left_schema=pa.schema([("s", pa.string()), ("d", pa.string())]),
@@ -878,19 +874,14 @@ def label_propagation(
                                     ("label", pa.string())]),
         ).map_batches(combine_msgs, batch_format="pyarrow", batch_size=None)
         selfc = labels.map_batches(
-            lambda b: bucketize(pa.table(
+            lambda b: pa.table(
                 {"node": b["node"], "label": b["label"],
                  "w": pa.array(np.zeros(b.num_rows, np.int64))}
-            )),
+            ),
             batch_format="pyarrow",
         )
         old = labels
-        labels = (
-            msgs.union(selfc)
-            .groupby("__bk")
-            .map_groups(pick_bucket, batch_format="pandas")
-            .materialize()
-        )
+        labels = bucketed_groups([msgs, selfc], "node", pick).materialize()
         del old
     return labels.map_batches(
         lambda b: pa.table({"node": b["node"], "community": b["label"]}),

@@ -676,7 +676,6 @@ def mine_host_priors(
     mentions,
     *,
     min_count: int = 2,
-    num_buckets: int = 64,
 ):
     """Mine host-scoped alias priors from a pass-1 mentions Dataset.
 
@@ -688,10 +687,11 @@ def mine_host_priors(
     ambiguous host signal must not override the global prior).
 
     Scale shape: batch-local Arrow combiner (one row per (host, surface,
-    entity) per block) → two-phase grouped sum → ONE hash-bucket cogroup
-    over the count table for the vectorized winner/margin scan. Output is
-    bounded by hosts × confidently-seen surfaces — dictionary-scale per
-    host; at 100 TB cap delivery with the broadcast budget (see
+    entity) per block) → two-phase grouped sum → ONE
+    ``relational.bucketed_groups`` shuffle over the count table for the
+    vectorized winner/margin scan. Output is bounded by hosts ×
+    confidently-seen surfaces — dictionary-scale per host; at 100 TB cap
+    delivery with the broadcast budget (see
     :func:`link_mentions_two_pass`).
 
     Returns a Dataset with schema ``HOST_PRIOR_SCHEMA``.
@@ -699,8 +699,11 @@ def mine_host_priors(
     import numpy as np
     import pyarrow.compute as pc
 
-    from code_graph_rag_ray.functions.hashing import partition_ids
-    from code_graph_rag_ray.stages.relational import partial_groupby_sum
+    from code_graph_rag_ray.stages.relational import (
+        bucketed_groups,
+        partial_groupby_sum,
+        run_starts,
+    )
 
     methods = pa.array(CONFIDENT_METHODS, pa.string())
 
@@ -735,45 +738,27 @@ def mine_host_priors(
         ["host", "surface", "entity_id"], {"one": "n"},
     )
 
-    def bucketize(b: pa.Table) -> pa.Table:
-        g = pc.binary_join_element_wise(b["host"], b["surface"], "|")
-        return b.append_column(
-            "__bk", pa.array(partition_ids(g, num_buckets), pa.int32())
-        )
-
     def winners(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return HOST_PRIOR_SCHEMA.empty_table()
         t = g.take(pc.sort_indices(
             g, sort_keys=[("host", "ascending"), ("surface", "ascending"),
                           ("n", "descending"), ("entity_id", "ascending")]
         ))
-        h = np.asarray(t["host"].to_pandas(), dtype=object)
-        s = np.asarray(t["surface"].to_pandas(), dtype=object)
         n = t["n"].to_numpy(zero_copy_only=False)
-        first = np.ones(len(h), bool)
-        first[1:] = (h[1:] != h[:-1]) | (s[1:] != s[:-1])
-        idx = np.flatnonzero(first)
+        idx = np.flatnonzero(run_starts(t, ["host", "surface"]))
         # strict margin: winner count > runner-up count (single-candidate
         # groups have no runner-up → margin holds by definition)
-        nxt = np.r_[idx[1:], len(h)]
+        nxt = np.r_[idx[1:], len(n)]
         has_runner = (nxt - idx) > 1
         runner_n = np.where(has_runner, n[np.minimum(idx + 1, len(n) - 1)], -1)
         keep = (n[idx] >= min_count) & (n[idx] > runner_n)
-        sel = idx[keep]
-        out = t.take(pa.array(sel, pa.int64()))
+        out = t.take(pa.array(idx[keep], pa.int64()))
         return pa.table(
             {"host": out["host"], "surface": out["surface"],
              "entity_id": out["entity_id"], "n": out["n"]},
             schema=HOST_PRIOR_SCHEMA,
         )
 
-    return (
-        counts.map_batches(bucketize, batch_format="pyarrow")
-        .groupby("__bk")
-        .map_groups(lambda g: winners(g.drop_columns("__bk")),
-                    batch_format="pyarrow")
-    )
+    return bucketed_groups(counts, ["host", "surface"], winners)
 
 
 def link_mentions_two_pass(

@@ -16,7 +16,6 @@ signature) become explicit dataset operators here:
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data import Dataset
@@ -106,46 +105,20 @@ def exact_dedup(
 
 
 def exact_dedup_rows(ds: Dataset, keys: list[str], sort_cols: list[str] | None = None) -> Dataset:
-    """Row-atomic exact dedup: per-group sort + first (slower: Python per
-    group). Use only when the surviving row must be one original row.
-    The batch-local combiner sorts by ``sort_cols`` before dropping local
-    duplicates, so the survivor is content-determined end to end."""
-    import pandas as pd
+    """Row-atomic exact dedup: the surviving row is one original row, the
+    first of its key under ``sort_cols`` (default: all columns). The same
+    vectorized sort + first-of-key-run pick runs batch-local (combiner)
+    and once per ``relational.bucketed_groups`` bucket, so the survivor
+    is content-determined end to end."""
+    from code_graph_rag_ray.stages.relational import bucketed_groups, run_starts
 
-    sc = sort_cols
+    def first_rows(b: pa.Table) -> pa.Table:
+        cols = keys + [c for c in (sort_cols or b.column_names) if c not in keys]
+        t = b.take(pc.sort_indices(b, sort_keys=[(c, "ascending") for c in cols]))
+        return t.filter(pa.array(run_starts(t, keys)))
 
-    def local_first(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return b
-        cols = sc or b.column_names
-        order = pc.sort_indices(b, sort_keys=[(c, "ascending") for c in cols])
-        return dedup_batch_local(b.take(order), keys)
-
-    local = ds.map_batches(local_first, batch_format="pyarrow")
-
-    # bucketed cogroup (hash(keys) buckets): per-key map_groups would pay a
-    # Python call per DISTINCT KEY; here each bucket sorts once and keeps
-    # the first row of every key run — same winner (min by sort_cols within
-    # key), vectorized
-    def add_bucket(b: pa.Table) -> pa.Table:
-        kimg = b[keys[0]] if len(keys) == 1 else pc.binary_join_element_wise(
-            *[pc.cast(b[k], pa.string()) for k in keys], "\x1f"
-        )
-        return b.append_column("__db", pa.array(partition_ids(kimg, 64)))
-
-    def pick_first(g: pd.DataFrame) -> pd.DataFrame:
-        cols = [c for c in (sc or list(g.columns)) if c != "__db"]
-        g = g.sort_values(keys + cols, kind="mergesort")
-        kv = g[keys].to_numpy()
-        new = np.ones(len(g), dtype=bool)
-        new[1:] = (kv[1:] != kv[:-1]).any(axis=1)
-        return g[new].drop(columns=["__db"])
-
-    return (
-        local.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__db")
-        .map_groups(pick_first, batch_format="pandas")
-    )
+    return bucketed_groups(ds.map_batches(first_rows, batch_format="pyarrow"),
+                           keys, first_rows)
 
 
 def add_partition_column(ds: Dataset, key: str, num_partitions: int, col: str = "part") -> Dataset:
@@ -153,6 +126,22 @@ def add_partition_column(ds: Dataset, key: str, num_partitions: int, col: str = 
         return b.append_column(col, pa.array(partition_ids(b[key], num_partitions), pa.int32()))
 
     return ds.map_batches(add, batch_format="pyarrow")
+
+
+def write_sorted_partitions(parted: Dataset, out_dir: str, sort_by: list[str]) -> None:
+    """Write ``parted`` hive-partitioned by its ``part`` column, each
+    partition sorted by ``sort_by`` — in Arrow, so column types reach the
+    files unchanged. The partition groupby is the only all-to-all."""
+    order = [(c, "ascending") for c in sort_by]
+
+    def sort_part(t: pa.Table) -> pa.Table:
+        return t.take(pc.sort_indices(t, sort_keys=order))
+
+    (
+        parted.groupby("part")
+        .map_groups(sort_part, batch_format="pyarrow")
+        .write_parquet(out_dir, partition_cols=["part"])
+    )
 
 
 def materialize_graph(
@@ -167,19 +156,7 @@ def materialize_graph(
     sorted by ``sort_by`` within each partition.
 
     One directory per hash partition (``part=K/``) → a failed run skips
-    finished partitions on resume; never one giant file. Sorting happens
-    per-group (each group = one hash partition), so the only all-to-all is
-    the partition groupby itself.
+    finished partitions on resume; never one giant file.
     """
-    import pandas as pd
-
-    parted = add_partition_column(ds, key, num_partitions)
-
-    def sort_group(g: pd.DataFrame) -> pd.DataFrame:
-        return g.sort_values(sort_by, kind="mergesort")
-
-    (
-        parted.groupby("part")
-        .map_groups(sort_group, batch_format="pandas")
-        .write_parquet(out_dir, partition_cols=["part"])
-    )
+    write_sorted_partitions(add_partition_column(ds, key, num_partitions),
+                            out_dir, sort_by)

@@ -421,33 +421,16 @@ def _concat_pairs(parts: list[Dataset]) -> Dataset:
     return out
 
 
-def _bucketed_distinct(pairs: Dataset, num_buckets: int = 64) -> Dataset:
-    """Distinct (src, node) pairs — hash-bucket cogroup + one vectorized
-    drop_duplicates per bucket instead of a high-cardinality groupby
+def _bucketed_distinct(pairs: Dataset) -> Dataset:
+    """Distinct (src, node) pairs — one Arrow distinct per
+    ``bucketed_groups`` bucket instead of a high-cardinality groupby
     (NOTES.md fact 25: ~1M distinct pair groups cost 101 s of per-group
-    reduce; the `_dedup_pairs_bucketed` pattern, stages/dedup.py:494).
-    A batch-local combiner dedups before the shuffle."""
-    import pandas as pd
+    reduce). The same distinct runs batch-local before the shuffle."""
+    from code_graph_rag_ray.stages.relational import bucketed_groups
 
-    from code_graph_rag_ray.functions.hashing import partition_ids
+    def distinct(b: pa.Table) -> pa.Table:
+        return pa.TableGroupBy(b.select(["src", "node"]), ["src", "node"],
+                               use_threads=False).aggregate([])
 
-    def add_bucket(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return pa.table({"src": pa.array([], pa.string()),
-                             "node": pa.array([], pa.string()),
-                             "bucket": pa.array([], pa.int32())})
-        t = pa.TableGroupBy(
-            b.select(["src", "node"]), ["src", "node"], use_threads=False
-        ).aggregate([([], "count_all")]).select(["src", "node"])
-        key = pc.binary_join_element_wise(t["src"], t["node"], "\x1f")
-        return t.append_column(
-            "bucket", pa.array(partition_ids(key, num_buckets), pa.int32()))
-
-    def distinct(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(["src", "node"])[["src", "node"]]
-
-    return (
-        pairs.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(distinct, batch_format="pandas")
-    )
+    return bucketed_groups(pairs.map_batches(distinct, batch_format="pyarrow"),
+                           ["src", "node"], distinct)

@@ -13,6 +13,7 @@ Design rules (SURVEY.md §4 + ray_guide):
 
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -682,6 +683,105 @@ def top_k(ds: Dataset, by: str, k: int, *, descending: bool = True) -> Dataset:
     )
 
 
+#: hash buckets of every :func:`bucketed_groups` shuffle. Each group lands
+#: whole in one bucket, so no result depends on this number.
+_NUM_BUCKETS = 64
+_BUCKET = "__bucket"
+
+
+def _key_image(t: pa.Table, keys: list[str]):
+    """The string a group key hashes by: a single string key column as
+    is, else the ``\\x1f``-joined string casts of the key columns."""
+    if len(keys) == 1 and pa.types.is_string(t.schema.field(keys[0]).type):
+        return t[keys[0]]
+    parts = [pc.cast(t[k], pa.string()) for k in keys]
+    return parts[0] if len(parts) == 1 else pc.binary_join_element_wise(
+        *parts, "\x1f")
+
+
+def bucketed_groups(ds: Dataset | list[Dataset], keys: str | list[str], fn) -> Dataset:
+    """Finish the groups of ``keys`` one hash BUCKET at a time (NOTES fact 25).
+
+    Every row is hashed by its key into one of ``_NUM_BUCKETS`` buckets;
+    one ``groupby(bucket).map_groups`` shuffle then calls ``fn`` once per
+    bucket with that bucket's rows as an Arrow table, bucket column
+    dropped. A group is always whole inside one bucket, so ``fn`` finishes
+    all of its groups with one vectorized pass — a per-GROUP map_groups
+    pays Ray's sort-aggregate cost per group, which dominates at corpus
+    group counts.
+
+    ``ds`` may be a list of same-schema datasets (a tagged-union cogroup):
+    each is bucketed before the union, so the bucket column is computed
+    inside its producer's tasks. ``fn`` only ever receives non-empty
+    tables from the shuffle. An all-empty input never reaches a UDF and
+    leaves the sort schema-less (NOTES facts 3/28), so an input already
+    materialized empty skips the shuffle: ``fn`` runs once on its typed
+    empty table, and that result is the (typed) output.
+    """
+    import ray.data as rd
+    from ray.data.dataset import MaterializedDataset
+
+    from code_graph_rag_ray.functions.hashing import partition_ids
+
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    parts = ds if isinstance(ds, list) else [ds]
+
+    def add_bucket(b: pa.Table) -> pa.Table:
+        bk = partition_ids(_key_image(b, keys), _NUM_BUCKETS)
+        return b.append_column(_BUCKET, pa.array(bk, pa.int32()))
+
+    def finish(g: pa.Table) -> pa.Table:
+        return fn(g.drop_columns([_BUCKET]))
+
+    if all(isinstance(d, MaterializedDataset) and d.count() == 0 for d in parts):
+        schema = getattr(parts[0].schema(), "base_schema", None)
+        if isinstance(schema, pa.Schema):  # metadata only: nothing executes
+            return rd.from_arrow(fn(schema.empty_table()))
+    tagged = [d.map_batches(add_bucket, batch_format="pyarrow") for d in parts]
+    out = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
+    return out.groupby(_BUCKET).map_groups(finish, batch_format="pyarrow")
+
+
+def run_starts(t: pa.Table, cols: list[str]) -> np.ndarray:
+    """First-of-run mask over ``t`` already sorted by ``cols``: True where
+    a row's ``cols`` differ from the previous row's. Nulls equal each
+    other, as in SQL grouping."""
+    n = t.num_rows
+    first = np.zeros(n, bool)
+    first[:1] = True
+    for c in cols if n > 1 else ():
+        a = t[c].combine_chunks()
+        cur, prev = a.slice(1), a.slice(0, n - 1)
+        ne = pc.or_(pc.fill_null(pc.not_equal(cur, prev), False),
+                    pc.xor(pc.is_null(cur), pc.is_null(prev)))
+        first[1:] |= ne.to_numpy(zero_copy_only=False)
+    return first
+
+
+def _runs(first: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(start row, length, each row's position in its run) of the runs a
+    :func:`run_starts` mask marks."""
+    starts = np.flatnonzero(first)
+    lens = np.diff(np.append(starts, len(first)))
+    return starts, lens, np.arange(len(first)) - np.repeat(starts, lens)
+
+
+def _head_k(t: pa.Table, sort_keys: list[tuple[str, str]], k: int) -> pa.Table:
+    """Sort ``t`` by ``sort_keys`` (group column first) and keep the first
+    ``k`` rows of every group."""
+    t = t.take(pc.sort_indices(t, sort_keys=sort_keys))
+    _, _, pos = _runs(run_starts(t, [sort_keys[0][0]]))
+    return t.filter(pa.array(pos < k))
+
+
+def _join_runs(t: pa.Table, starts: np.ndarray, col: str, sep: str) -> pa.Array:
+    """One ``sep``-joined string per run of ``t`` (runs begin at
+    ``starts``), values in row order."""
+    offsets = pa.array(np.append(starts, t.num_rows), pa.int32())
+    vals = pc.cast(t[col], pa.string()).combine_chunks()
+    return pc.binary_join(pa.ListArray.from_arrays(offsets, vals), sep)
+
+
 def grouped_top_k(
     ds: Dataset,
     group: str,
@@ -694,55 +794,22 @@ def grouped_top_k(
     """Per-group top-k without sorting whole groups through the shuffle.
 
     Phase 1 (map): each block is sorted once and truncated to k rows PER
-    GROUP (vectorized run-boundary arithmetic) — at most k × groups-in-block
-    rows leave any block, so a whale group exchanges O(blocks × k), not its
-    full row count. Phase 2: survivors hash into ~64 group buckets
-    (groups whole within a bucket) and the SAME vectorized truncation
-    re-runs once per bucket — a per-GROUP map_groups would pay Ray's
-    sort-aggregate per-group overhead at high group cardinality (NOTES
-    fact 25). ``tiebreak`` (ascending) makes the result deterministic
-    under ties at the k boundary — REQUIRED for exact oracle comparison;
-    without it rows tied at rank k are arbitrary."""
-    import numpy as np
-
-    import pyarrow.compute as pc
-
+    GROUP — at most k × groups-in-block rows leave any block, so a whale
+    group exchanges O(blocks × k), not its full row count. Phase 2: the
+    SAME truncation re-runs once per :func:`bucketed_groups` bucket.
+    ``tiebreak`` (ascending) makes the result deterministic under ties at
+    the k boundary — REQUIRED for exact oracle comparison; without it rows
+    tied at rank k are arbitrary."""
     order = "descending" if descending else "ascending"
     sort_keys = [(group, "ascending"), (by, order)]
     if tiebreak:
         sort_keys.append((tiebreak, "ascending"))
 
     def local(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return b
-        t = b.take(pc.sort_indices(b, sort_keys=sort_keys))
-        g = np.asarray(t[group].to_pandas(), dtype=object)
-        first = np.ones(len(g), bool)
-        first[1:] = g[1:] != g[:-1]
-        starts = np.flatnonzero(first)
-        grp_id = np.cumsum(first) - 1
-        pos = np.arange(len(g)) - starts[grp_id]
-        return t.filter(pa.array(pos < k))
+        return _head_k(b, sort_keys, k)
 
-    from code_graph_rag_ray.functions.hashing import partition_ids
-
-    def bucketize(b: pa.Table) -> pa.Table:
-        # NOTES fact 25: a per-GROUP phase-2 merge pays Ray's sort-
-        # aggregate per-group overhead; co-locate ~64 hash buckets of
-        # groups instead and re-run the vectorized truncation per bucket
-        # (groups are whole inside a bucket, so the result is identical)
-        bk = partition_ids(b[group], 64)
-        return b.append_column("__bk", pa.array(bk, pa.int32()))
-
-    def merge_bucket(g: pa.Table) -> pa.Table:
-        return local(g.drop_columns("__bk"))
-
-    return (
-        ds.map_batches(local, batch_format="pyarrow")
-        .map_batches(bucketize, batch_format="pyarrow")
-        .groupby("__bk")
-        .map_groups(merge_bucket, batch_format="pyarrow")
-    )
+    return bucketed_groups(ds.map_batches(local, batch_format="pyarrow"),
+                           group, local)
 
 
 def grouped_collect(
@@ -763,47 +830,34 @@ def grouped_collect(
     The cap is the scale contract: an UNCAPPED ordered collect of a whale
     group is a single unbounded string — the cgr analog (per-pattern rel
     grouping, ``graph_service.py:126-128``) buffers bounded batches for the
-    same reason. Phase 1 reuses the ``grouped_top_k`` block-local
-    truncation (each block contributes ≤ k rows per group), so the shuffle
-    carries O(blocks × k) rows per group; phase 2 re-sorts the survivors
-    and joins the head-k values. ``tiebreak`` makes boundary ties
-    deterministic — REQUIRED for exact oracle comparison.
+    same reason. Phase 1 is the ``grouped_top_k`` block-local truncation
+    (each block contributes ≤ k rows per group), so the shuffle carries
+    O(blocks × k) rows per group; phase 2 re-truncates per bucket and
+    joins each group's head-k values (Arrow string casts). ``tiebreak``
+    makes boundary ties deterministic — REQUIRED for exact oracle
+    comparison.
 
     Output: (group, collected:string, n_collected:int64).
     """
-    import numpy as np
-
     order = "descending" if descending else "ascending"
     sort_keys = [(group, "ascending"), (order_by, order)]
     if tiebreak:
         sort_keys.append((tiebreak, "ascending"))
 
     def local(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return b
-        t = b.take(pc.sort_indices(b, sort_keys=sort_keys))
-        g = np.asarray(t[group].to_pandas(), dtype=object)
-        first = np.ones(len(g), bool)
-        first[1:] = g[1:] != g[:-1]
-        starts = np.flatnonzero(first)
-        pos = np.arange(len(g)) - starts[np.cumsum(first) - 1]
-        return t.filter(pa.array(pos < k))
+        return _head_k(b, sort_keys, k)
 
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        by_cols = [order_by] + ([tiebreak] if tiebreak else [])
-        asc = [not descending] + ([True] if tiebreak else [])
-        head = df.sort_values(by_cols, ascending=asc, kind="mergesort").head(k)
-        return pd.DataFrame({
-            group: [df[group].iloc[0]],
-            "collected": [sep.join(head[val].astype(str))],
-            "n_collected": np.array([len(head)], np.int64),
+    def collect(t: pa.Table) -> pa.Table:
+        t = local(t)
+        starts, lens, _ = _runs(run_starts(t, [group]))
+        return pa.table({
+            group: t[group].take(starts),
+            "collected": _join_runs(t, starts, val, sep),
+            "n_collected": pa.array(lens, pa.int64()),
         })
 
-    return (
-        ds.map_batches(local, batch_format="pyarrow")
-        .groupby(group)
-        .map_groups(merge, batch_format="pandas")
-    )
+    return bucketed_groups(ds.map_batches(local, batch_format="pyarrow"),
+                           group, collect)
 
 
 def grouped_trimmed_sum(
@@ -822,67 +876,64 @@ def grouped_trimmed_sum(
     One shuffle: each block contributes per group its k smallest + k
     largest rows (the union provably contains the GLOBAL extremes) plus a
     single (sum, count) summary row, so a whale group exchanges
-    O(blocks × 2k + blocks) rows, never its size. The merge re-sorts the
-    survivors, takes the k head/tail — disjoint because they come from one
-    total order — and subtracts from the summary totals. Groups with
-    n ≤ 2k are DROPPED (trimming is undefined there; the oracle's
-    ``HAVING n > 2k`` mirrors it). Values must be int64 (the fixed-point
-    convention: float partial sums would not be exactly re-aggregatable);
-    ``trimmed_mean`` is the single final IEEE division, bit-exact vs SQL.
+    O(blocks × 2k + blocks) rows, never its size. The per-bucket merge
+    re-sorts the survivors and takes each group's k head/tail rows —
+    disjoint, since a group with n > 2k keeps ≥ 2k survivors — and
+    subtracts them from the summary totals. Groups with n ≤ 2k are
+    DROPPED (trimming is undefined there; the oracle's ``HAVING n > 2k``
+    mirrors it). Values must be int64 (the fixed-point convention: float
+    partial sums would not be exactly re-aggregatable); ``trimmed_mean``
+    is the single final IEEE division, bit-exact vs SQL.
     """
-    import numpy as np
+    order = [(group, "ascending"), (val, "ascending"), (tiebreak, "ascending")]
+
+    def extremes(t: pa.Table):
+        # sorted t, its runs, and each row's (head|tail)-k membership
+        t = t.take(pc.sort_indices(t, sort_keys=order))
+        starts, lens, pos = _runs(run_starts(t, [group]))
+        return t, starts, lens, (pos < k) | (pos >= np.repeat(lens, lens) - k)
 
     def local(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return pa.table({group: b[group], val: b[val],
-                             tiebreak: b[tiebreak],
-                             "__sum": pa.array([], pa.int64()),
-                             "__n": pa.array([], pa.int64())})
-        t = b.select([group, val, tiebreak])
-        t = t.take(pc.sort_indices(
-            t, sort_keys=[(group, "ascending"), (val, "ascending"),
-                          (tiebreak, "ascending")]))
-        g = np.asarray(t[group].to_pandas(), dtype=object)
-        first = np.ones(len(g), bool)
-        first[1:] = g[1:] != g[:-1]
-        starts = np.flatnonzero(first)
-        ends = np.append(starts[1:], len(g))
-        lens = ends - starts
-        pos = np.arange(len(g)) - np.repeat(starts, lens)
-        keep = (pos < k) | (pos >= np.repeat(lens, lens) - k)
-        kept = t.filter(pa.array(keep))
+        t, starts, lens, keep = extremes(b.select([group, val, tiebreak]))
         vals = np.asarray(t[val].to_numpy(zero_copy_only=False), np.int64)
-        sums = np.add.reduceat(vals, starts).astype(np.int64)
-        summary = pa.table({
-            group: pa.array(g[first], type=t[group].type),
-            val: pa.array(np.zeros(len(starts), np.int64)),
-            tiebreak: pa.nulls(len(starts), t[tiebreak].type),
-            "__sum": pa.array(sums),
-            "__n": pa.array(lens.astype(np.int64)),
-        })
-        kept = kept.append_column("__sum", pa.nulls(kept.num_rows, pa.int64()))
-        kept = kept.append_column("__n", pa.nulls(kept.num_rows, pa.int64()))
-        return pa.concat_tables([kept, summary])
+        sums = np.add.reduceat(vals, starts) if len(starts) else vals[:0]
+        kept = t.filter(pa.array(keep))
+        return pa.concat_tables([
+            kept.append_column("__sum", pa.nulls(kept.num_rows, pa.int64()))
+                .append_column("__n", pa.nulls(kept.num_rows, pa.int64())),
+            pa.table({
+                group: t[group].take(starts),
+                val: pa.array(np.zeros(len(starts), np.int64)),
+                tiebreak: pa.nulls(len(starts), t[tiebreak].type),
+                "__sum": pa.array(sums.astype(np.int64)),
+                "__n": pa.array(lens, pa.int64()),
+            }),
+        ])
 
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        s = df[df["__n"].notna()]
-        total, n = int(s["__sum"].sum()), int(s["__n"].sum())
-        if n <= 2 * k:
-            return pd.DataFrame({group: [], "trimmed_sum": [], "n_kept": [],
-                                 "trimmed_mean": []})
-        rows = df[df["__n"].isna()].sort_values([val, tiebreak],
-                                                kind="mergesort")
-        cut = int(rows[val].head(k).sum() + rows[val].tail(k).sum())
-        ts, nk = total - cut, n - 2 * k
-        return pd.DataFrame({
-            group: [df[group].iloc[0]],
-            "trimmed_sum": np.array([ts], np.int64),
-            "n_kept": np.array([nk], np.int64),
-            "trimmed_mean": np.array([ts / nk], np.float64),
+    def merge(t: pa.Table) -> pa.Table:
+        is_row = pc.is_null(t["__n"])
+        rows, _, _, cut = extremes(t.filter(is_row).select([group, val, tiebreak]))
+        vals = np.asarray(rows[val].to_numpy(zero_copy_only=False), np.int64)
+        summary = t.filter(pc.invert(is_row))
+        parts = pa.concat_tables([
+            pa.table({group: rows[group],
+                      "__cut": pa.array(np.where(cut, vals, 0)),
+                      "__sum": pa.array(np.zeros(rows.num_rows, np.int64)),
+                      "__n": pa.array(np.zeros(rows.num_rows, np.int64))}),
+            pa.table({group: summary[group],
+                      "__cut": pa.array(np.zeros(summary.num_rows, np.int64)),
+                      "__sum": summary["__sum"], "__n": summary["__n"]}),
+        ])
+        g = pa.TableGroupBy(parts, group, use_threads=False).aggregate(
+            [("__cut", "sum"), ("__sum", "sum"), ("__n", "sum")])
+        g = g.filter(pc.greater(g["__n_sum"], 2 * k))
+        ts = pc.subtract(g["__sum_sum"], g["__cut_sum"])
+        nk = pc.subtract(g["__n_sum"], 2 * k)
+        return pa.table({
+            group: g[group], "trimmed_sum": ts, "n_kept": nk,
+            "trimmed_mean": pc.divide(pc.cast(ts, pa.float64()),
+                                      pc.cast(nk, pa.float64())),
         })
 
-    return (
-        ds.map_batches(local, batch_format="pyarrow")
-        .groupby(group)
-        .map_groups(merge, batch_format="pandas")
-    )
+    return bucketed_groups(ds.map_batches(local, batch_format="pyarrow"),
+                           group, merge)

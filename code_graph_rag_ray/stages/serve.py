@@ -3,8 +3,9 @@ store — the batch engine's answer to the reference's graph query surface
 (``graph_service.py`` lookups: a function's callers/callees, a node's
 neighbors), without a graph database.
 
-``materialize_graph`` writes edges hive-partitioned by
-``stable_hash(subj) % P`` and sorted within each partition; that layout IS
+``materialize_graph`` and ``resume_materialize`` both write through
+``materialize.write_sorted_partitions``: edges hive-partitioned by
+``stable_hash(subj) % P``, each partition sorted in Arrow; that layout IS
 the index. A subject lookup computes the single partition that can contain
 the key and reads ONLY that directory — O(store/P) bytes touched instead
 of a full scan — then applies exact Arrow filters. Object-side lookups

@@ -38,6 +38,15 @@ def read_manifest(stage_dir: str) -> dict | None:
         return json.load(f)
 
 
+def _write_manifest(stage_dir: str, manifest: dict) -> None:
+    """Replace ``_MANIFEST.json`` atomically: a failure mid-dump leaves the
+    previous manifest in place, never a truncated one."""
+    p = _manifest_path(stage_dir)
+    with open(p + ".tmp", "w") as f:
+        json.dump(manifest, f, indent=1)
+    os.rename(p + ".tmp", p)
+
+
 class Checkpointer:
     """Stage-granular checkpoint/resume over a root directory.
 
@@ -95,9 +104,7 @@ class Checkpointer:
             # build+write wall time; rows above give the throughput
             "wall_s": wall_s,
         }
-        with open(_manifest_path(sdir) + ".tmp", "w") as f:
-            json.dump(manifest, f, indent=1)
-        os.rename(_manifest_path(sdir) + ".tmp", _manifest_path(sdir))
+        _write_manifest(sdir, manifest)
         self.built.append(name)
         return rd.read_parquet(data_dir)
 
@@ -121,13 +128,17 @@ def resume_materialize(
        before rewriting — no double-counted partial files,
     3. the manifest is rewritten only after the new partitions land
        (re-derive, never mutate — cgr's incremental==clean invariant,
-       ``evals/README.md:133-175``).
+       ``evals/README.md:133-175``), keeping the cached digests of the
+       skipped partitions, whose data did not change.
 
     Returns the final manifest dict.
     """
     import pyarrow as pa
 
-    from code_graph_rag_ray.stages.materialize import add_partition_column
+    from code_graph_rag_ray.stages.materialize import (
+        add_partition_column,
+        write_sorted_partitions,
+    )
 
     os.makedirs(out_dir, exist_ok=True)
     prior = read_manifest(out_dir) or {"partitions": {}}
@@ -140,11 +151,20 @@ def resume_materialize(
             if int(name.split("=")[1]) not in done:
                 shutil.rmtree(pdir)
 
+    def finish() -> dict:
+        man = _count_partitions(out_dir, expected=num_partitions)
+        kept = {p: d for p, d in (prior.get("digests") or {}).items()
+                if int(p.split("=")[1]) in done}
+        if kept:
+            man["digests"] = kept
+        _write_manifest(out_dir, man)
+        return man
+
     if len(done) >= num_partitions:
         # fully resumed: every partition (including zero-row ones — the
         # manifest records those too) is complete, so the upstream pipeline
         # never executes at all.
-        return partition_manifest(out_dir, expected=num_partitions)
+        return finish()
 
     parted = add_partition_column(ds, key, num_partitions)
     if done:
@@ -157,18 +177,11 @@ def resume_materialize(
 
         parted = parted.map_batches(skip_done, batch_format="pyarrow")
 
-    import pandas as pd
-
-    def sort_group(g: pd.DataFrame) -> pd.DataFrame:
-        return g.sort_values(sort_by, kind="mergesort")
-
     # stream straight into the partitioned write — ONE execution of the
     # upstream pipeline, no terminal materialize (an all-empty remainder
     # writes nothing, which Ray handles fine).
-    parted.groupby("part").map_groups(
-        sort_group, batch_format="pandas"
-    ).write_parquet(out_dir, partition_cols=["part"])
-    return partition_manifest(out_dir, expected=num_partitions)
+    write_sorted_partitions(parted, out_dir, sort_by)
+    return finish()
 
 
 def partition_digests(out_dir: str) -> dict[str, str]:
@@ -220,8 +233,7 @@ def partition_digests(out_dir: str) -> dict[str, str]:
             for name, pdir in todo:
                 digests[name] = _digest_partition_dir(pdir)
     man["digests"] = digests
-    with open(_manifest_path(out_dir), "w") as f:
-        json.dump(man, f, indent=1)
+    _write_manifest(out_dir, man)
     return digests
 
 
@@ -259,6 +271,13 @@ def partition_manifest(out_dir: str, *, expected: int | None = None) -> dict:
     zero rows — hence no directory — are recorded as complete with count 0,
     so a rerun skips them instead of re-executing the whole pipeline to
     rediscover their emptiness."""
+    manifest = _count_partitions(out_dir, expected=expected)
+    _write_manifest(out_dir, manifest)
+    return manifest
+
+
+def _count_partitions(out_dir: str, *, expected: int | None = None) -> dict:
+    """The manifest :func:`partition_manifest` writes, without writing it."""
     import pyarrow.parquet as pq
 
     parts: dict[str, int] = {}
@@ -274,7 +293,4 @@ def partition_manifest(out_dir: str, *, expected: int | None = None) -> dict:
     if expected is not None:
         for k in range(expected):
             parts.setdefault(f"part={k}", 0)
-    manifest = {"partitions": parts, "rows": int(sum(parts.values()))}
-    with open(os.path.join(out_dir, MANIFEST), "w") as f:
-        json.dump(manifest, f, indent=1)
-    return manifest
+    return {"partitions": parts, "rows": int(sum(parts.values()))}

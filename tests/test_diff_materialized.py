@@ -88,3 +88,26 @@ def test_partitioner_mismatch_raises(tmp_path):
     _mat(_edges_tbl(rows), d2, nparts=4)
     with pytest.raises(ValueError, match="partitioner mismatch"):
         diff_materialized(d1, d2, on=KEY)
+
+
+@pytest.mark.parametrize("query", ["kg_edge_diff_ckpt", "warc_pages"])
+def test_catalog_scratch_trees_private_and_removed(query, sf_dir, tmp_path,
+                                                   monkeypatch):
+    """Concurrent runs must not share scratch trees: every call gets its
+    own root, the result stays readable, and no tree is left behind."""
+    import tempfile
+
+    from code_graph_rag_ray.pipelines import catalog
+
+    roots = []
+    real = tempfile.mkdtemp
+
+    def recording(*a, **kw):
+        roots.append(real(*a, dir=str(tmp_path), **kw))
+        return roots[-1]
+
+    monkeypatch.setattr(tempfile, "mkdtemp", recording)
+    counts = [getattr(catalog, query)(sf_dir).count() for _ in range(2)]
+    assert counts[0] == counts[1] > 0
+    assert len(roots) == 2 and roots[0] != roots[1]
+    assert os.listdir(tmp_path) == []

@@ -96,3 +96,62 @@ def test_partition_manifest_counts(tmp_path):
     resume_materialize(_edges(100), out, key="subj", sort_by=["subj", "obj"], num_partitions=4)
     man = partition_manifest(out)
     assert sum(man["partitions"].values()) == man["rows"] == 100
+
+
+def test_resume_keeps_cached_digests_so_diff_reads_nothing(tmp_path, monkeypatch):
+    """A rerun keeps the cached digests of the partitions it skipped, so a
+    diff after a fully resumed run prunes on the manifest alone."""
+    from code_graph_rag_ray.stages.diff import diff_materialized
+    from code_graph_rag_ray.state import lineage
+
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    for out in (a, b):
+        resume_materialize(_edges(), out, key="subj", sort_by=["subj", "obj"],
+                           num_partitions=8)
+        lineage.partition_digests(out)
+        resume_materialize(_edges(), out, key="subj", sort_by=["subj", "obj"],
+                           num_partitions=8)
+        assert set(read_manifest(out)["digests"]) == set(
+            read_manifest(out)["partitions"])
+
+    calls = []
+
+    def counted(pdir: str) -> str:
+        calls.append(pdir)
+        raise AssertionError(f"digest recomputed for {pdir}")
+
+    monkeypatch.setattr(lineage, "_digest_partition_dir", counted)
+    assert diff_materialized(a, b, on=["subj", "pred", "obj"]).count() == 0
+    assert calls == []
+
+
+def test_manifest_dump_failure_leaves_prior_manifest(tmp_path, monkeypatch):
+    from code_graph_rag_ray.state import lineage
+
+    out = str(tmp_path / "g")
+    resume_materialize(_edges(100), out, key="subj", sort_by=["subj", "obj"],
+                       num_partitions=4)
+    prior = read_manifest(out)
+
+    class HalfJson:
+        load = staticmethod(json.load)
+
+        @staticmethod
+        def dump(obj, f, **kw):
+            f.write('{"partitions": {"part=0"')
+            raise OSError("disk full")
+
+    monkeypatch.setattr(lineage, "json", HalfJson)
+    for write in (lambda: lineage.partition_digests(out),
+                  lambda: partition_manifest(out),
+                  lambda: lineage.Checkpointer(str(tmp_path / "ck")).stage(
+                      "s", lambda: _edges(10))):
+        try:
+            write()
+        except OSError:
+            pass
+        else:
+            raise AssertionError("the failing dump must propagate")
+    monkeypatch.undo()
+    assert read_manifest(out) == prior
+    assert read_manifest(str(tmp_path / "ck" / "s")) is None

@@ -71,3 +71,15 @@ def test_organic_robustness_rate0_exact_and_decay():
     # damaged pages must not create WRONG internal facts wholesale:
     # precision stays high (spam/typos mint externals, not internal edges)
     assert r5["precision"] >= 0.95
+
+
+def test_large_corpus_caps_entities_at_name_pool():
+    """n_pages // 6 exceeds the 288-name pool from 1,734 pages on: the
+    entity count is capped and every planted triple stays in-dictionary."""
+    fx = generate_organic_pages(2000, seed=7)
+    ids = set(fx.alias_dict["entity_id"].to_pylist())
+    assert len(ids) == 288
+    planted = set(fx.expected_triples["subj"].to_pylist()) | set(
+        fx.expected_triples["obj"].to_pylist())
+    assert planted and planted <= ids
+    assert set(fx.mention_counts) <= ids

@@ -133,6 +133,20 @@ def test_broadcast_join_dataset_small_side():
     assert list(out.v) == [70, 110]
 
 
+def _events(n_groups: int, seed: int = 5) -> pa.Table:
+    """~4 rows per group, ties on ts — the many-groups input case."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    n = n_groups * 4
+    return pa.table({
+        "g": pa.array(rng.integers(0, n_groups, n), pa.int64()),
+        "ts": pa.array(rng.integers(0, 50, n), pa.int64()),
+        "id": pa.array(np.arange(n), pa.int64()),
+        "v": pa.array(rng.integers(-1000, 1000, n), pa.int64()),
+    })
+
+
 def test_grouped_top_k_ties_and_small_groups():
     import ray.data as rd
 
@@ -178,6 +192,16 @@ def test_grouped_collect_ordered_capped():
     assert got["whale"]["n_collected"] == 3
     assert got["tiny"]["collected"] == "only"
     assert got["tiny"]["n_collected"] == 1
+
+    # 5,000 groups against a pandas brute force
+    t = _events(5000)
+    df = t.to_pandas().sort_values(["g", "ts", "id"], kind="mergesort")
+    want = {g: (",".join(map(str, s.tolist())), len(s))
+            for g, s in df.groupby("g").head(3).groupby("g")["v"]}
+    got = {r["g"]: (r["collected"], r["n_collected"])
+           for r in grouped_collect(rd.from_arrow(t).repartition(6), "g", "ts",
+                                    "v", 3, tiebreak="id").take_all()}
+    assert got == want
 
 
 def test_bucketed_semi_anti_with_null_keys():
@@ -319,6 +343,18 @@ def test_grouped_trimmed_sum_exact_vs_brute():
         assert set(got) == {"w", "one"}
         for name in ("w", "one"):
             assert got[name] == brute(name), (name, blocks)
+
+    # 5,000 groups against a pandas brute force
+    t = _events(5000)
+    want = {}
+    for g, sub in t.to_pandas().sort_values(["v", "id"]).groupby("g"):
+        if len(sub) > 2 * k:
+            kept = sub["v"].iloc[k:-k]
+            want[g] = (int(kept.sum()), len(kept), int(kept.sum()) / len(kept))
+    got = {r["g"]: (r["trimmed_sum"], r["n_kept"], r["trimmed_mean"])
+           for r in grouped_trimmed_sum(rd.from_arrow(t).repartition(6), "g",
+                                        "v", k, tiebreak="id").take_all()}
+    assert got == want
 
 
 def test_adaptive_join_both_plans_identical():
@@ -490,3 +526,79 @@ def test_broadcast_join_mixed_block_small_side():
     out = rel.broadcast_join(left, small, on="k").to_pandas()
     assert sorted(out["k"]) == [1, 2, 3]
     rel.clear_broadcast_cache()
+
+
+def _count_per_key():
+    # built per test: Ray workers cannot import test modules by name
+    def count(t: pa.Table) -> pa.Table:
+        g = pa.TableGroupBy(t, ["a", "b"], use_threads=False).aggregate(
+            [([], "count_all"), ("v", "sum")])
+        return pa.table({"a": g["a"], "b": g["b"], "n": g["count_all"],
+                         "s": g["v_sum"]})
+
+    return count
+
+
+def test_bucketed_groups_empty_input_is_typed():
+    from code_graph_rag_ray.stages.relational import bucketed_groups
+
+    empty = rd.from_arrow(pa.schema(
+        [("a", pa.int64()), ("b", pa.date32()), ("v", pa.int64())]).empty_table())
+    out = bucketed_groups(empty, ["a", "b"], _count_per_key())
+    assert out.count() == 0
+    assert out.schema().base_schema == pa.schema(
+        [("a", pa.int64()), ("b", pa.date32()), ("n", pa.int64()),
+         ("s", pa.int64())])
+
+
+def test_bucketed_groups_multi_key_independent_of_blocks():
+    """Non-string composite key (int64, date32, with nulls): every group
+    is whole in one bucket, so the result does not depend on blocking."""
+    import datetime
+
+    from code_graph_rag_ray.stages.relational import bucketed_groups
+
+    day = datetime.date(2024, 1, 1)
+    t = pa.table({
+        "a": pa.array([i % 13 if i % 17 else None for i in range(600)], pa.int64()),
+        "b": pa.array([day + datetime.timedelta(days=i % 5) for i in range(600)]),
+        "v": pa.array(range(600), pa.int64()),
+    })
+
+    def run(blocks: int) -> list[tuple]:
+        out = bucketed_groups(rd.from_arrow(t).repartition(blocks), ["a", "b"],
+                              _count_per_key()).take_all()
+        return sorted(((r["a"] is None, r["a"] or 0, r["b"], r["n"], r["s"])
+                       for r in out))
+
+    one = run(1)
+    assert one == run(7)
+    assert sum(r[3] for r in one) == 600 and len(one) == 14 * 5
+
+
+def test_bucketed_groups_fn_never_sees_bucket_column():
+    from code_graph_rag_ray.stages.relational import bucketed_groups
+
+    def cols(t: pa.Table) -> pa.Table:
+        return pa.table({"cols": [",".join(t.column_names)],
+                         "rows": pa.array([t.num_rows], pa.int64())})
+
+    ds = rd.from_arrow(pa.table({"k": [f"k{i % 50}" for i in range(400)],
+                                 "v": list(range(400))})).repartition(4)
+    out = bucketed_groups(ds, "k", cols).take_all()
+    assert {r["cols"] for r in out} == {"k,v"}
+    assert sum(r["rows"] for r in out) == 400
+
+
+def test_run_starts_cases():
+    import numpy as np
+
+    from code_graph_rag_ray.stages.relational import run_starts
+
+    assert run_starts(pa.table({"g": pa.array([], pa.string())}), ["g"]).tolist() == []
+    assert run_starts(pa.table({"g": ["x"]}), ["g"]).tolist() == [True]
+    t = pa.table({"g": ["a", "a", "b", "b", None, None],
+                  "h": [1, 2, 2, 2, 3, 3]})
+    assert run_starts(t, ["g"]).tolist() == [True, False, True, False, True, False]
+    assert run_starts(t, ["g", "h"]).tolist() == [True, True, True, False, True, False]
+    assert run_starts(t, ["h"]).dtype == np.bool_
