@@ -168,12 +168,21 @@ def write_pages_warc(pages: pa.Table, path: str) -> None:
 def write_pages_warc_dataset(ds: Dataset, out_dir: str) -> Dataset:
     """Distributed WARC export: one ``.warc`` shard per batch, written
     INSIDE the task (only a manifest row ships to the driver — the
-    write_parquet data-movement shape). Shard names derive from content
-    (md5 of the batch's urls), so re-runs overwrite instead of
-    duplicating. Returns the manifest Dataset (shard, n_records);
-    consume it to drive the write."""
+    write_parquet data-movement shape). Shard names derive from the
+    batch's urls, and batch boundaries can differ between runs, so a
+    second write into the same directory could leave stale shards that
+    :func:`read_pages_warc` reads twice: ``out_dir`` must hold no
+    ``.warc`` file yet (``FileExistsError`` at call time otherwise).
+    Returns the manifest Dataset (shard, n_records); consume it to drive
+    the write."""
+    import glob
     import hashlib
 
+    stale = glob.glob(os.path.join(glob.escape(out_dir), "*.warc"))
+    if stale:
+        raise FileExistsError(
+            f"{out_dir} already holds {len(stale)} .warc shard(s); write "
+            "into an empty directory")
     os.makedirs(out_dir, exist_ok=True)
 
     def write_shard(b: pa.Table) -> pa.Table:

@@ -7,17 +7,19 @@ click→view attribution, state-as-of-event enrichment. Construction
 (documented partitioning assumption: rows co-locate by (key, time-chunk)):
 
 1. both sides land in ``(key, chunk)`` cogroups (chunk = epoch-µs
-   floor-div ``chunk_s``), shipped as per-bucket Arrow-IPC blobs — the
-   :func:`code_graph_rag_ray.stages.relational.bucketed_join` shuffle shape
-   (exactly each side's own columns move, row count O(batches × buckets));
-   a whale key's events spread over ``span/chunk_s`` groups,
+   floor-div ``chunk_s``) through
+   :func:`code_graph_rag_ray.stages.relational.bucketed_cogroup` (exactly
+   each side's own columns move, row count O(batches × buckets)); a whale
+   key's events spread over ``span/chunk_s`` groups,
 2. a left row's match may precede its chunk, so the right side reduces to
    per-(key, chunk) LAST-row summaries (batch-local combiner first — one
    row per key-chunk per batch crosses the wire), and one per-key pass over
-   summaries ∪ left-chunk markers computes each left chunk's CARRY-IN (the
-   latest right row strictly before the chunk) — bounded by #key-chunks,
+   summaries ∪ left-chunk markers (``bucketed_groups``) computes each left
+   chunk's CARRY-IN (the latest right row strictly before the chunk) —
+   bounded by #key-chunks,
 3. each cogroup locally ``merge_asof``s its left rows against carry-in ∪
-   in-chunk right rows.
+   in-chunk right rows over (key, ts, row index) only, then gathers the
+   payloads in Arrow — every payload type and int64 value stays exact.
 
 Timestamps are int64 epoch-µs end to end (timestamps change resolution
 across shuffle/pandas boundaries — NOTES.md); the output ``on`` column is
@@ -34,7 +36,12 @@ import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data import Dataset
 
-from code_graph_rag_ray.stages.relational import _arrow_schema, _pack_side
+from code_graph_rag_ray.stages.relational import (
+    _arrow_schema,
+    bucketed_cogroup,
+    bucketed_groups,
+    run_starts,
+)
 
 
 def _ts_us(col) -> pa.Array:
@@ -54,7 +61,6 @@ def asof_join_chunked(
     right_cols: list[str] | None = None,
     chunk_s: int = 86400,
     suffix: str = "_r",
-    num_buckets: int | None = None,
     tolerance_s: int | None = None,
 ) -> Dataset:
     """Left as-of join: latest right row per key with ts ≤ left ts.
@@ -64,14 +70,6 @@ def asof_join_chunked(
     semantics, applied at match time inside each cogroup, so the carry
     machinery is unaffected (carries hold real timestamps and simply
     fail the window test when too old)."""
-    if num_buckets is None:
-        try:
-            import ray
-
-            num_buckets = max(32, 2 * int(ray.cluster_resources().get("CPU", 16)))
-        except Exception:  # pragma: no cover
-            num_buckets = 32
-
     chunk_us = chunk_s * 1_000_000
     lschema, rschema = _arrow_schema(left), _arrow_schema(right)
     lcols = [c for c in lschema.names if c != on]  # includes `by`
@@ -82,223 +80,113 @@ def asof_join_chunked(
          ("__ts_us", pa.int64())]
         + [(c, rschema.field(c).type) for c in rcols]
     )
-    l_payload = ["__chunk", "__ts_us"] + lcols
-    r_payload = ["__chunk", "__ts_us", by] + rcols
+    keys = [by, "__chunk"]
 
     def add_group_cols(b: pa.Table, keep: list[str]) -> pa.Table:
-        ts = _ts_us(b[on]) if on in b.column_names else _ts_us(b["__ts_us"])
-        chunk = pc.divide(ts, chunk_us) if on in b.column_names else b["__chunk"]
-        cols = {"__ts_us": ts, "__chunk": chunk}
-        for c in keep:
-            if c not in cols:
-                cols[c] = b[c]
-        t = pa.table(cols)
-        g = pc.binary_join_element_wise(
-            pc.cast(t[by], pa.string()), pc.cast(t["__chunk"], pa.string()), "|"
-        )
-        # null key or null ts → null composite → dropped by the packer
-        return t.append_column("__g", g)
+        ts = _ts_us(b[on])
+        t = pa.table({"__ts_us": ts, "__chunk": pc.divide(ts, chunk_us),
+                      **{c: b[c] for c in keep}})
+        # null key or null ts: never matches (SQL) — leave before any shuffle
+        return t.filter(pc.and_(pc.is_valid(t[by]), pc.is_valid(ts)))
 
-    lt = left.map_batches(
-        lambda b: add_group_cols(b, lcols), batch_format="pyarrow"
-    ).map_batches(
-        _pack_side("__g", l_payload, 0, num_buckets, drop_null_keys=True),
-        batch_format="pyarrow",
-    )
-
+    left_grouped = left.map_batches(lambda b: add_group_cols(b, lcols),
+                                    batch_format="pyarrow")
     right_grouped = right.map_batches(
         lambda b: add_group_cols(b, [by] + rcols), batch_format="pyarrow"
     )
-
-    # ---- right per-(key, chunk) last-row summaries (combiner first) ------
-    def last_per_group(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return sum_schema.empty_table()
-        idx = pa.array(
-            np.lexsort((
-                b["__ts_us"].to_numpy(zero_copy_only=False),
-                b["__chunk"].to_numpy(zero_copy_only=False),
-                pc.cast(b[by], pa.string()).to_numpy(zero_copy_only=False),
-            )),
-            pa.int64(),
-        )
-        s = b.take(idx)
-        ks = pc.cast(s[by], pa.string()).to_numpy(zero_copy_only=False)
-        cs = s["__chunk"].to_numpy(zero_copy_only=False)
-        lastmask = np.ones(len(ks), dtype=bool)
-        lastmask[:-1] = (ks[1:] != ks[:-1]) | (cs[1:] != cs[:-1])
-        s = s.filter(pa.array(lastmask))
-        return pa.table({f.name: s[f.name] for f in sum_schema})
-
-    r_partials = right_grouped.map_batches(last_per_group, batch_format="pyarrow")
-
-    # ---- left chunk markers (combiner: unique (key, chunk) per batch) ----
-    def markers(b: pa.Table) -> pa.Table:
-        t = pa.table({by: b[by], "__chunk": b["__chunk"]})
-        u = (
-            pa.TableGroupBy(t, [by, "__chunk"], use_threads=False)
-            .aggregate([([], "count_all")])
-        )
-        n = u.num_rows
-        cols = {by: u[by], "__chunk": u["__chunk"],
-                "__ts_us": pa.nulls(n, pa.int64())}
-        for c in rcols:
-            cols[c] = pa.nulls(n, sum_schema.field(c).type)
-        return pa.table(cols, schema=sum_schema)
-
-    l_markers = (
-        left.map_batches(lambda b: add_group_cols(b, lcols), batch_format="pyarrow")
-        .map_batches(markers, batch_format="pyarrow")
-    )
-
-    # ---- per-key carry-in for every left chunk (ts-null rows = markers) ---
-    # One bucketed cogroup over BATCH-LEVEL right summaries ∪ markers: the
-    # former global last-per-(key,chunk) shuffle is redundant — the latest
-    # right row strictly before a chunk is just the last summary row in
-    # (key, chunk, ts) sort order, whether or not the per-(key,chunk)
-    # partials were pre-reduced. Vectorized: one UDF call per hash bucket
-    # (per-key map_groups paid per-GROUP pandas call overhead).
-    from code_graph_rag_ray.functions.hashing import partition_ids
-
-    def add_key_bucket(b: pa.Table) -> pa.Table:
-        ids = partition_ids(pc.cast(b[by], pa.string()), num_buckets)
-        return b.append_column("__b2", pa.array(ids))
-
     sortable_rcols = [
         c for c in rcols
         if not pa.types.is_nested(sum_schema.field(c).type)
     ]
 
-    def carries(g: pd.DataFrame) -> pd.DataFrame:
-        # restore the summary schema everywhere (markers' nulls upcast int
-        # columns to float64 in pandas — NOTES.md landmine 15), INCLUDING on
-        # the empty early-returns, else block schemas diverge per group
-        casts = {
-            f.name: "int64"
-            for f in sum_schema
-            if pa.types.is_integer(f.type)
-        }
-        casts.update({"__ts_us": "int64", "__chunk": "int64"})
-        isna = g["__ts_us"].isna().to_numpy()
-        rows = g[~isna]
-        empty = rows.iloc[0:0].drop(columns=["__b2"]).astype(casts)
-        needs = g.loc[isna, ["__ks", "__chunk"]].drop_duplicates()
-        if needs.empty or rows.empty:
-            return empty
-        # deterministic ties: sort summaries by (key, chunk, ts, payload)
-        rows = rows.sort_values(
-            ["__ks", "__chunk", "__ts_us"] + sortable_rcols, kind="mergesort"
-        )
-        uniq, codes = np.unique(
-            np.concatenate([rows["__ks"].to_numpy(), needs["__ks"].to_numpy()]),
-            return_inverse=True,
-        )
-        rk = codes[: len(rows)].astype(np.int64)
-        nk = codes[len(rows):].astype(np.int64)
-        rc = rows["__chunk"].to_numpy().astype(np.int64)
-        nc = needs["__chunk"].to_numpy().astype(np.int64)
-        comb_r = (rk << 32) + rc
-        i = np.searchsorted(comb_r, (nk << 32) + nc, side="left")
-        prev = i - 1
-        valid = (i > 0) & (rk[np.clip(prev, 0, None)] == nk)
-        if not valid.any():
-            return empty
-        res = rows.iloc[prev[valid]].copy()
-        res["__chunk"] = nc[valid]
-        return res.drop(columns=["__b2"]).astype(casts)
+    # ---- right per-(key, chunk) last-row summaries (combiner first) ------
+    def last_per_group(b: pa.Table) -> pa.Table:
+        s = b.select(sum_schema.names)
+        s = s.take(pc.sort_indices(s, sort_keys=[
+            (by, "ascending"), ("__chunk", "ascending"),
+            ("__ts_us", "ascending")] + [(c, "ascending") for c in sortable_rcols]))
+        last = np.append(run_starts(s, keys)[1:], True)
+        return s.filter(pa.array(last))
 
-    def add_ks(b: pa.Table) -> pa.Table:
-        # string key image used for cross-dtype-stable sorting/factorizing
-        return b.append_column("__ks", pc.cast(b[by], pa.string()))
+    r_partials = right_grouped.map_batches(last_per_group, batch_format="pyarrow")
 
-    carry = (
-        r_partials.union(l_markers)
-        .map_batches(lambda b: add_key_bucket(add_ks(b)), batch_format="pyarrow")
-        .groupby("__b2")
-        .map_groups(carries, batch_format="pandas")
-        .map_batches(lambda b: b.drop_columns(["__ks"]), batch_format="pyarrow")
-    )
+    # ---- left chunk markers (combiner: unique (key, chunk) per batch) ----
+    def markers(b: pa.Table) -> pa.Table:
+        u = pa.TableGroupBy(b.select(keys), keys, use_threads=False).aggregate([])
+        n = u.num_rows
+        return pa.table(
+            {by: u[by], "__chunk": u["__chunk"],
+             **{f.name: pa.nulls(n, f.type) for f in sum_schema
+                if f.name not in keys}},
+            schema=sum_schema)
 
-    def pack_right(b: pa.Table) -> pa.Table:
-        g = pc.binary_join_element_wise(
-            pc.cast(b[by], pa.string()), pc.cast(b["__chunk"], pa.string()), "|"
-        )
-        t = b.append_column("__g", g)
-        return _pack_side("__g", r_payload, 1, num_buckets, drop_null_keys=True)(t)
+    l_markers = left_grouped.map_batches(markers, batch_format="pyarrow")
 
-    rt = right_grouped.map_batches(
-        _pack_side("__g", r_payload, 1, num_buckets, drop_null_keys=True),
-        batch_format="pyarrow",
-    )
-    ct = carry.map_batches(pack_right, batch_format="pyarrow")
+    # ---- per-key carry-in for every left chunk (ts-null rows = markers) ---
+    # One bucketed_groups pass over BATCH-LEVEL right summaries ∪ markers:
+    # the latest right row strictly before a chunk is the last summary
+    # row before that chunk's marker in (key, chunk, marker-first, ts,
+    # payload) order, whether or not the per-(key, chunk) partials were
+    # pre-reduced.
+    def carries(t: pa.Table) -> pa.Table:
+        t = t.append_column("__row", pc.is_valid(t["__ts_us"]))
+        t = t.take(pc.sort_indices(t, sort_keys=[
+            (by, "ascending"), ("__chunk", "ascending"), ("__row", "ascending"),
+            ("__ts_us", "ascending")] + [(c, "ascending") for c in sortable_rcols]))
+        row = t["__row"].to_numpy(zero_copy_only=False)
+        key_run = np.cumsum(run_starts(t, [by]))
+        # markers sort first in their (key, chunk): the first one stands
+        # for the chunk; its carry is the last summary row before it
+        need = ~row & run_starts(t, keys)
+        last = np.maximum.accumulate(np.where(row, np.arange(len(row)), -1))
+        prev = last[need]
+        ok = prev >= 0
+        ok[ok] = key_run[prev[ok]] == key_run[need][ok]
+        carry = t.take(pa.array(prev[ok], pa.int64())).drop_columns(["__row"])
+        return carry.set_column(
+            carry.schema.get_field_index("__chunk"), "__chunk",
+            t["__chunk"].filter(pa.array(need)).filter(pa.array(ok)))
 
-    # ---- local merge_asof per (key, chunk) inside each bucket -------------
-    lblob_schema = pa.schema(
-        [("__key", pa.string())]
-        + [(c, pa.int64()) if c in ("__chunk", "__ts_us")
-           else (c, lschema.field(c).type) for c in l_payload]
-    )
-    rblob_schema = pa.schema(
-        [("__key", pa.string())]
-        + [(c, pa.int64()) if c in ("__chunk", "__ts_us")
-           else (c, sum_schema.field(c).type) for c in r_payload]
-    )
-    out_cols = lcols + [on] + [f"{on}{suffix}"] + [f"{c}{suffix}" for c in rcols]
+    carry = bucketed_groups([r_partials, l_markers], by, carries)
 
-    def _read(blobs, schema: pa.Schema) -> pd.DataFrame:
-        tabs = [pa.ipc.open_stream(pa.py_buffer(x)).read_all() for x in blobs]
-        if not tabs:
-            tabs = [schema.empty_table()]
-        return pa.concat_tables(tabs).to_pandas()
+    # ---- local as-of match per (key, chunk) inside each bucket ------------
+    # merge_asof runs over (key, ts, row index) only; payloads are
+    # gathered in Arrow, so every type and int64 value comes out exact
+    rfields = pa.schema([("__ts_us", pa.int64())]
+                        + [sum_schema.field(c) for c in rcols])
+    lfields = pa.schema([("__ts_us", pa.int64())]
+                        + [lschema.field(c) for c in lcols])
+    tolerance = tolerance_s * 1_000_000 if tolerance_s is not None else None
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        lf = _read(g.loc[g["__side"] == 0, "__blob"], lblob_schema)
-        rf = _read(g.loc[g["__side"] == 1, "__blob"], rblob_schema)
-        if lf.empty:
-            return pd.DataFrame({c: [] for c in out_cols})
-        # grouped asof in one C call: both frames globally sorted by the on
-        # column (stable, payload tie-break preserved within each key), then
-        # merge_asof(by=) — replaces the per-(key,chunk) Python loop that
-        # paid a pandas merge_asof call per cogroup
-        lf = lf.sort_values("__ts_us", kind="mergesort")
-        if rf.empty:
-            out = lf.copy()
-            out[f"__rts{suffix}"] = pd.Series(
-                pd.NA, index=out.index, dtype="Int64"
-            )
-            for c in rcols:
-                out[f"{c}{suffix}"] = None
-        else:
-            rr = rf[["__key", "__ts_us"] + rcols].rename(
-                columns={c: f"{c}{suffix}" for c in rcols}
-            )
-            rr = rr.assign(**{f"__rts{suffix}": rr["__ts_us"]})
-            rr = rr.sort_values(
-                ["__ts_us"] + [f"{c}{suffix}" for c in sortable_rcols],
-                kind="mergesort",
-            )
-            out = pd.merge_asof(
-                lf, rr, on="__ts_us", by="__key",
-                direction="backward", allow_exact_matches=True,
-                tolerance=(tolerance_s * 1_000_000
-                           if tolerance_s is not None else None),
-            )
-        out = out.rename(columns={"__ts_us": on, f"__rts{suffix}": f"{on}{suffix}"})
-        # unify nullable dtypes across groups: a group whose lefts all
-        # matched yields int64 right columns while a group with misses
-        # yields float64/object — divergent block schemas break the union
-        fixes = [(f"{on}{suffix}", pa.int64())] + [
-            (f"{c}{suffix}", sum_schema.field(c).type) for c in rcols
-        ]
-        for col, typ in fixes:
-            if pa.types.is_integer(typ):
-                out[col] = out[col].astype("Int64")
-            elif pa.types.is_floating(typ):
-                out[col] = out[col].astype("float64")
-        return out[out_cols]
+    def merge(lt: pa.Table, rt: pa.Table, ct: pa.Table) -> pa.Table:
+        r = pa.concat_tables([rt, ct])
+        # deterministic ties: merge_asof takes the LAST right row in
+        # (ts, payload) order
+        r = r.take(pc.sort_indices(r, sort_keys=[("__ts_us", "ascending")] + [
+            (c, "ascending") for c in sortable_rcols]))
+        lt = lt.take(pc.sort_indices(lt, sort_keys=[("__ts_us", "ascending")]))
+        ri = pa.nulls(lt.num_rows, pa.int64())
+        if lt.num_rows and r.num_rows:
+            m = pd.merge_asof(
+                pd.DataFrame({"__key": lt["__key"].to_numpy(zero_copy_only=False),
+                              "__ts": lt["__ts_us"].to_numpy()}),
+                pd.DataFrame({"__key": r["__key"].to_numpy(zero_copy_only=False),
+                              "__ts": r["__ts_us"].to_numpy(),
+                              "__ri": np.arange(r.num_rows)}),
+                on="__ts", by="__key", direction="backward",
+                allow_exact_matches=True, tolerance=tolerance,
+            )["__ri"].to_numpy(np.float64)
+            ri = pa.array(np.nan_to_num(m, nan=0).astype(np.int64),
+                          mask=np.isnan(m))
+        rv = r.take(ri)
+        out = {c: lt[c] for c in lcols}
+        out[on] = lt["__ts_us"]
+        out[f"{on}{suffix}"] = rv["__ts_us"]
+        out.update({f"{c}{suffix}": rv[c] for c in rcols})
+        return pa.table(out)
 
-    tagged = lt.union(rt).union(ct)
-    # the groupby's sort pays a fixed cost per input block (NOTES.md fact
-    # 6); the packed payload is tiny, so coalesce to ~2×CPU blocks first
-    tagged = tagged.repartition(max(16, num_buckets // 2))
-    return tagged.groupby("__bucket").map_groups(merge, batch_format="pandas")
+    return bucketed_cogroup([
+        (left_grouped, keys, lfields, True),
+        (right_grouped, keys, rfields, True),
+        (carry, keys, rfields, True),
+    ], merge)

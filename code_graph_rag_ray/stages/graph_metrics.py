@@ -386,20 +386,17 @@ def bfs_hops(
     is ``ray.put`` once and every adjacency block is PROBED in place with a
     vectorized ``is_in`` — one streaming scan, no shuffle (point-query BFS
     spends all its rounds here; the all-to-all cost was 6× the answer).
-    A frontier past the limit switches to the bucketed cogroup
-    (frontier ⋈ out-edges, the components.py pattern — Dataset.join stays
-    banned per NOTES.md fact 1). Both shapes fold into the distance table
+    A frontier past the limit switches to a bucketed semi join
+    (out-edges ⋉ frontier, ``relational.bucketed_join`` — Dataset.join
+    stays banned per NOTES.md fact 1). Both shapes fold into the distance table
     via the same groupby-min; convergence = an empty frontier.
 
     Reference parity: the reference answers reachability questions with
     Memgraph path queries (``graph_service.py`` traversal Cypher); this is
     the corpus-scale in-engine equivalent over the link graph.
     """
-    import pandas as pd
     import ray.data as rd
     from ray.data.aggregate import Min
-
-    from code_graph_rag_ray.functions.hashing import partition_ids
 
     def keyed(b: pa.Table) -> pa.Table:
         fwd = pa.table({"key": pc.cast(b[src], pa.string()),
@@ -410,15 +407,7 @@ def bfs_hops(
                         "nbr": pc.cast(b[src], pa.string())})
         return pa.concat_tables([fwd, rev])
 
-    def with_bucket(ds: Dataset, col: str) -> Dataset:
-        return ds.map_batches(
-            lambda b: b.append_column(
-                "bucket", pa.array(partition_ids(b[col], 32), pa.int32())
-            ),
-            batch_format="pyarrow",
-        )
-
-    adj = with_bucket(edges.map_batches(keyed, batch_format="pyarrow"), "key").materialize()
+    adj = edges.map_batches(keyed, batch_format="pyarrow").materialize()
 
     dist = rd.from_arrow(
         pa.table({"node": pa.array(sorted(set(seeds)), pa.string()),
@@ -426,6 +415,11 @@ def bfs_hops(
     ).materialize()
     frontier = dist
     fcount = len(set(seeds))
+
+    def to_msgs(b: pa.Table, d: int) -> pa.Table:
+        nodes = pc.unique(b["nbr"])
+        return pa.table({"node": nodes,
+                         "hops": pa.array(np.full(len(nodes), d, np.int64))})
 
     for r in range(max_hops):
         if fcount <= broadcast_frontier_limit:
@@ -437,53 +431,23 @@ def bfs_hops(
                          pa.string())
             )
 
-            def probe(b: pa.Table, _d=r + 1, _ref=f_ref) -> pd.DataFrame:
+            def probe(b: pa.Table, _d=r + 1, _ref=f_ref) -> pa.Table:
                 from code_graph_rag_ray.functions.broadcast import get_broadcast
 
-                hit = b.filter(pc.is_in(b["key"], value_set=get_broadcast(_ref)))
-                nbrs = pc.unique(hit["nbr"])
-                return pd.DataFrame(
-                    {"node": nbrs.to_pylist(), "hops": _d}
-                )
+                return to_msgs(b.filter(pc.is_in(
+                    b["key"], value_set=get_broadcast(_ref))), _d)
 
             msgs = adj.map_batches(probe, batch_format="pyarrow")
         else:
-            f_rows = with_bucket(
-                frontier.map_batches(
-                    lambda b: pa.table(
-                        {"key": b["node"], "nbr": pa.nulls(b.num_rows, pa.string()),
-                         "__f": pa.array(np.ones(b.num_rows, np.int8))}
-                    ),
-                    batch_format="pyarrow",
-                ),
-                "key",
-            )
-            e_rows = adj.map_batches(
-                lambda b: b.append_column("__f", pa.nulls(b.num_rows, pa.int8())),
-                batch_format="pyarrow",
-            )
-
-            def msgs_fn(g: pd.DataFrame, _d=r + 1) -> pd.DataFrame:
-                f = g[g["__f"].notna()][["key"]].drop_duplicates()
-                e = g[g["__f"].isna()][["key", "nbr"]]
-                m = e.merge(f, on="key")[["nbr"]].drop_duplicates()
-                return pd.DataFrame({"node": m["nbr"], "hops": _d})
-
-            msgs = (
-                e_rows.union(f_rows)
-                .groupby("bucket")
-                .map_groups(msgs_fn, batch_format="pandas")
-            )
-        # NOTES.md fact 23: EMPTY sorted partitions emit schema-less
-        # PANDAS blocks that BYPASS fused downstream maps — msgs cannot be
-        # normalized to Arrow. Make the union uniformly pandas instead
-        # (identity pandas map on dist); a single-type union with
-        # schema-less empties aggregates fine (the CC pipeline's shape).
-        dist_p = dist.map_batches(
-            lambda df: df, batch_format="pandas", batch_size=None
-        )
+            # large frontier: out-edges ⋉ frontier
+            msgs = bucketed_join(
+                adj, frontier, on="key", right_on="node", how="semi",
+                left_schema=pa.schema([("key", pa.string()), ("nbr", pa.string())]),
+                right_schema=pa.schema([("node", pa.string()), ("hops", pa.int64())]),
+            ).map_batches(lambda b, _d=r + 1: to_msgs(b, _d),
+                          batch_format="pyarrow")
         new_dist = (
-            dist_p.union(msgs)
+            dist.union(msgs)
             .groupby("node")
             .aggregate(Min("hops", alias_name="hops"))
             .materialize()
@@ -595,14 +559,13 @@ def sssp_bounded(
     Round shape follows :func:`bfs_hops`: a frontier under
     ``broadcast_frontier_limit`` is ray.put as a (node → dist) map and the
     adjacency is probed in place (one streaming scan, per-batch partial
-    min); a larger frontier relaxes through the bucketed cogroup. Message
+    min); a larger frontier relaxes through a bucketed inner join with the
+    frontier's base distance (``relational.bucketed_join``). Message
     volume per round is O(improved-nodes' out-edges), not O(E).
     """
     import pandas as pd
     import ray.data as rd
     from ray.data.aggregate import Min
-
-    from code_graph_rag_ray.functions.hashing import partition_ids
 
     def keyed(b: pa.Table) -> pa.Table:
         wt = pc.cast(b[weight], pa.int64())
@@ -614,16 +577,7 @@ def sssp_bounded(
                         "nbr": pc.cast(b[src], pa.string()), "wt": wt})
         return pa.concat_tables([fwd, rev])
 
-    def with_bucket(ds: Dataset, col: str) -> Dataset:
-        return ds.map_batches(
-            lambda b: b.append_column(
-                "bucket", pa.array(partition_ids(b[col], 32), pa.int32())
-            ),
-            batch_format="pyarrow",
-        )
-
-    adj = with_bucket(edges.map_batches(keyed, batch_format="pyarrow"),
-                      "key").materialize()
+    adj = edges.map_batches(keyed, batch_format="pyarrow").materialize()
 
     seed_list = sorted(set(seeds))
     dist = rd.from_arrow(
@@ -633,6 +587,13 @@ def sssp_bounded(
     frontier = [(s, 0) for s in seed_list]  # small-path: [(node, dist)]
     fcount = len(seed_list)
     f_ds = dist  # large-path frontier Dataset (node, enc)
+
+    def relax(nbr, cand) -> pa.Table:
+        # candidate enc = 2·dist + 1 (improved bit), per-batch partial min
+        t = pa.table({"node": nbr, "enc": pa.array(cand * 2 + 1, pa.int64())})
+        g = pa.TableGroupBy(t, ["node"], use_threads=False).aggregate(
+            [("enc", "min")])
+        return pa.table({"node": g["node"], "enc": g["enc_min"]})
 
     for _ in range(max_hops):
         if fcount <= broadcast_frontier_limit:
@@ -647,59 +608,28 @@ def sssp_bounded(
 
                 fs = get_broadcast(_ref)
                 hit = b.filter(pc.is_in(b["key"], value_set=pa.array(fs.index)))
-                if hit.num_rows == 0:
-                    return pa.table({"node": pa.array([], pa.string()),
-                                     "enc": pa.array([], pa.int64())})
                 base = fs.loc[hit["key"].to_pylist()].to_numpy()
-                cand = base + hit["wt"].to_numpy(zero_copy_only=False)
-                t = pa.table({"node": hit["nbr"],
-                              "enc": pa.array(cand * 2 + 1, pa.int64())})
-                g = pa.TableGroupBy(t, ["node"], use_threads=False).aggregate(
-                    [("enc", "min")])
-                return pa.table({"node": g["node"], "enc": g["enc_min"]})
+                return relax(hit["nbr"], base + hit["wt"].to_numpy(zero_copy_only=False))
 
-            msgs = adj.map_batches(probe, batch_format="pyarrow").map_batches(
-                lambda df: df, batch_format="pandas", batch_size=None)
+            msgs = adj.map_batches(probe, batch_format="pyarrow")
         else:
-            f_rows = with_bucket(
-                f_ds.map_batches(
-                    lambda b: pa.table(
-                        {"key": b["node"], "nbr": pa.nulls(b.num_rows, pa.string()),
-                         "wt": pc.divide(b["enc"], 2),
-                         "__f": pa.array(np.ones(b.num_rows, np.int8))}
-                    ),
-                    batch_format="pyarrow",
-                ),
-                "key",
-            )
-            e_rows = adj.map_batches(
-                lambda b: b.append_column("__f", pa.nulls(b.num_rows, pa.int8())),
+            # large frontier: out-edges ⋈ the frontier's base distance
+            base = f_ds.map_batches(
+                lambda b: pa.table({"node": b["node"],
+                                    "base": pc.divide(b["enc"], 2)}),
                 batch_format="pyarrow",
             )
-
-            def msgs_fn(g: pd.DataFrame) -> pd.DataFrame:
-                f = g[g["__f"].notna()][["key", "wt"]].rename(
-                    columns={"wt": "base"}).drop_duplicates("key")
-                e = g[g["__f"].isna()][["key", "nbr", "wt"]]
-                m = e.merge(f, on="key")
-                if not len(m):
-                    return pd.DataFrame({"node": pd.Series([], dtype=object),
-                                         "enc": pd.Series([], dtype=np.int64)})
-                enc = (m["base"] + m["wt"]) * 2 + 1
-                out = pd.DataFrame({"node": m["nbr"], "enc": enc.astype(np.int64)})
-                return out.groupby("node", as_index=False).min()
-
-            msgs = (
-                e_rows.union(f_rows)
-                .groupby("bucket")
-                .map_groups(msgs_fn, batch_format="pandas")
+            msgs = bucketed_join(
+                adj, base, on="key", right_on="node",
+                left_schema=pa.schema([("key", pa.string()), ("nbr", pa.string()),
+                                       ("wt", pa.int64())]),
+                right_schema=pa.schema([("node", pa.string()), ("base", pa.int64())]),
+            ).map_batches(
+                lambda b: relax(b["nbr"], pc.add(b["base"], b["wt"]).to_numpy()),
+                batch_format="pyarrow",
             )
-        # NOTES.md fact 23: keep the union single-type pandas
-        dist_p = dist.map_batches(
-            lambda df: df, batch_format="pandas", batch_size=None
-        )
         new_dist = (
-            dist_p.union(msgs)
+            dist.union(msgs)
             .groupby("node")
             .aggregate(Min("enc", alias_name="enc"))
             .materialize()

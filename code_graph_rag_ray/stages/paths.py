@@ -101,7 +101,6 @@ def match_pattern(
     pred: str = "pred",
     obj: str = "obj",
     distinct_nodes: bool = True,
-    num_buckets: int | None = None,
 ) -> Dataset:
     """Match a path pattern over ``edges``; one output row per path,
     columns = the pattern's NAMED variables (all string).
@@ -127,8 +126,7 @@ def match_pattern(
     if all(lo == 1 and hi == 1 for _, lo, hi in hops):
         return _match_fixed(edges, vars_, [p for p, _, _ in hops],
                             subj=subj, pred=pred, obj=obj,
-                            distinct_nodes=distinct_nodes,
-                            num_buckets=num_buckets)
+                            distinct_nodes=distinct_nodes)
     ranges = [range(lo, hi + 1) for _, lo, hi in hops]
     out = None
     for combo in itertools.product(*ranges):
@@ -141,8 +139,7 @@ def match_pattern(
             evars.append(vars_[i + 1])
             epreds.append(hops[i][0])
         m = _match_fixed(edges, evars, epreds, subj=subj, pred=pred,
-                         obj=obj, distinct_nodes=distinct_nodes,
-                         num_buckets=num_buckets)
+                         obj=obj, distinct_nodes=distinct_nodes)
         m = m.map_batches(lambda b, _v=tuple(vars_): b.select(list(_v)),
                           batch_format="pyarrow")
         out = m if out is None else out.union(m)
@@ -158,7 +155,6 @@ def _match_fixed(
     pred: str,
     obj: str,
     distinct_nodes: bool,
-    num_buckets: int | None,
 ) -> Dataset:
     from code_graph_rag_ray.stages.relational import bucketed_join
 
@@ -179,7 +175,6 @@ def _match_fixed(
             paths, hop, on=prev,
             left_schema=pa.schema([(c, pa.string()) for c in bound]),
             right_schema=pa.schema([(prev, pa.string()), (new, pa.string())]),
-            num_buckets=num_buckets,
         )
         bound = bound + [new]
         if distinct_nodes:
@@ -205,7 +200,6 @@ def count_pattern(
     pred: str = "pred",
     obj: str = "obj",
     distinct_nodes: bool = True,
-    num_buckets: int | None = None,
     alias: str = "n_paths",
 ) -> Dataset:
     """FACTORIZED path counting: (first_var, last_var, alias) with the
@@ -261,7 +255,6 @@ def count_pattern(
                 right_schema=pa.schema([(prev, pa.string()),
                                         (new, pa.string()),
                                         ("__n", pa.int64())]),
-                num_buckets=num_buckets,
             )
             bound = bound + [new]
 
@@ -337,7 +330,6 @@ def bounded_reachability(
     subj: str = "subj",
     obj: str = "obj",
     seed_col: str = "node",
-    num_buckets: int | None = None,
 ) -> Dataset:
     """(src, node, hops): minimum DIRECTED hop distance ≤ ``k`` from every
     seed to every reachable node — the ``(src)-[*1..k]->(node)`` query.
@@ -389,7 +381,6 @@ def bounded_reachability(
             left_schema=pair_schema,
             right_schema=pa.schema([("node", pa.string()),
                                     ("nbr", pa.string())]),
-            num_buckets=num_buckets,
         ).map_batches(
             lambda b: pa.table({"src": pc.cast(b["src"], pa.string()),
                                 "node": pc.cast(b["nbr"], pa.string())}),
@@ -402,7 +393,6 @@ def bounded_reachability(
             _concat_pairs(acc),
             on=["src", "node"], how="anti",
             left_schema=pair_schema, right_schema=pair_schema,
-            num_buckets=num_buckets,
         ).map_batches(with_hops(r), batch_format="pyarrow").materialize()
         acc.append(new)
         frontier = new

@@ -11,12 +11,15 @@ asof/session_windows_chunked):
    REPLICATED into every chunk it overlaps (``floor(start/chunk_s) ..
    floor(end/chunk_s)`` — interval rows are summaries, so the replication
    cost is rows × spanned-chunks, never point-scale),
-2. groups cogroup through per-bucket Arrow-IPC blobs (the bucketed_join
-   shuffle shape — each side ships its own columns only),
-3. each group joins locally with a vectorized broadcast mask
-   (|P|×|I| per group; bounded because chunking caps how many intervals
+2. groups cogroup through
+   :func:`code_graph_rag_ray.stages.relational.bucketed_cogroup` (each
+   side ships its own columns only),
+3. each bucket matches its (key, chunk) ids to row-index pairs
+   (``relational._join_pairs``), keeps the pairs whose point lies inside
+   the interval and gathers the payloads in Arrow (|P|×|I| candidate
+   pairs per group; bounded because chunking caps how many intervals
    co-locate with a point — document interval density when tuning
-   ``chunk_s``).
+   ``chunk``).
 
 INNER semantics: points inside no interval emit nothing. Timestamps are
 int64 epoch-µs end to end unless the inputs are already integers (then
@@ -28,12 +31,15 @@ SECONDS, like session windows, join with ``ts`` preconverted by caller or
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data import Dataset
 
-from code_graph_rag_ray.stages.relational import _arrow_schema, _pack_side
+from code_graph_rag_ray.stages.relational import (
+    _arrow_schema,
+    _join_pairs,
+    bucketed_cogroup,
+)
 
 
 def _as_int(col) -> pa.Array:
@@ -55,44 +61,26 @@ def range_join_chunked(
     chunk: int = 86_400_000_000,
     points_ts_div: int = 1,
     suffix: str = "_iv",
-    num_buckets: int | None = None,
 ) -> Dataset:
     """Inner point-in-interval join; ``chunk`` is in the BOUND columns'
     integer units (µs for timestamp bounds). ``points_ts_div`` divides the
     point ts into the bounds' units (e.g. 1_000_000 when bounds are epoch
     seconds, points are timestamps)."""
-    if num_buckets is None:
-        try:
-            import ray
-
-            num_buckets = max(32, 2 * int(ray.cluster_resources().get("CPU", 16)))
-        except Exception:  # pragma: no cover
-            num_buckets = 32
-
     pschema, ischema = _arrow_schema(points), _arrow_schema(intervals)
     pcols = [c for c in pschema.names if c != on]  # includes by
     icols = [c for c in ischema.names if c != by]  # includes bounds
-    p_payload = ["__ts", by] + [c for c in pcols if c != by]
-    i_payload = [by] + icols
+    keys = [by, "__chunk"]
 
     def tag_points(b: pa.Table) -> pa.Table:
-        ts = pc.divide(_as_int(b[on]), points_ts_div) if points_ts_div != 1 else _as_int(b[on])
-        cols = {"__ts": ts}
-        for c in pcols:
-            cols[c] = b[c]
-        t = pa.table(cols)
-        ch = pc.divide(t["__ts"], chunk)
-        g = pc.binary_join_element_wise(
-            pc.cast(t[by], pa.string()), pc.cast(ch, pa.string()), "|"
-        )
-        return t.append_column("__g", g)
+        ts = _as_int(b[on])
+        if points_ts_div != 1:
+            ts = pc.divide(ts, points_ts_div)
+        return pa.table({"__ts": ts, "__chunk": pc.divide(ts, chunk),
+                         **{c: b[c] for c in pcols}})
 
     def explode_intervals(b: pa.Table) -> pa.Table:
         if b.num_rows == 0:
-            return pa.table(
-                {**{c: b[c] for c in i_payload if c in b.column_names},
-                 "__g": pa.array([], pa.string())}
-            )
+            return b  # may be schema-less (a groupby upstream); packs to nothing
         s = _as_int(b[start_col]).to_numpy(zero_copy_only=False)
         e = _as_int(b[end_col]).to_numpy(zero_copy_only=False)
         c0 = s // chunk
@@ -103,64 +91,26 @@ def range_join_chunked(
         pos = np.arange(len(idx), dtype=np.int64) - np.repeat(
             np.cumsum(reps) - reps, reps
         )
-        chunks = c0[idx] + pos
-        t = b.take(pa.array(idx, pa.int64()))
-        g = pc.binary_join_element_wise(
-            pc.cast(t[by], pa.string()),
-            pa.array(chunks.astype(str), pa.string()),
-            "|",
-        )
-        cols = {c: t[c] for c in i_payload}
-        return pa.table(cols).append_column("__g", g)
+        t = b.select([by] + icols).take(pa.array(idx, pa.int64()))
+        return t.append_column("__chunk", pa.array(c0[idx] + pos, pa.int64()))
 
-    pt = points.map_batches(tag_points, batch_format="pyarrow").map_batches(
-        _pack_side("__g", p_payload, 0, num_buckets, drop_null_keys=True),
-        batch_format="pyarrow",
-    )
-    it = intervals.map_batches(explode_intervals, batch_format="pyarrow").map_batches(
-        _pack_side("__g", i_payload, 1, num_buckets, drop_null_keys=True),
-        batch_format="pyarrow",
-    )
-
-    pblob = pa.schema(
-        [("__key", pa.string()), ("__ts", pa.int64())]
-        + [(c, pschema.field(c).type) for c in pcols]
-    )
-    iblob = pa.schema(
-        [("__key", pa.string())]
-        + [(c, ischema.field(c).type) for c in i_payload]
-    )
-    rename_iv = {c: f"{c}{suffix}" for c in icols}
-    out_cols = pcols + [on] + [rename_iv[c] for c in icols]
-
-    def _read(blobs, schema: pa.Schema) -> pd.DataFrame:
-        tabs = [pa.ipc.open_stream(pa.py_buffer(x)).read_all() for x in blobs]
-        if not tabs:
-            tabs = [schema.empty_table()]
-        return pa.concat_tables(tabs).to_pandas()
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        P = _read(g.loc[g["__side"] == 0, "__blob"], pblob)
-        I = _read(g.loc[g["__side"] == 1, "__blob"], iblob)
-        if P.empty or I.empty:
-            return pd.DataFrame({c: [] for c in out_cols})
+    def match(P: pa.Table, I: pa.Table) -> pa.Table:
         # one vectorized hash-join on the (key, chunk) cogroup id, then the
-        # containment filter — the candidate-pair count is identical to the
-        # former per-key broadcast mask (sum over keys of |P_k|·|I_k|), but
-        # the pairing runs in C instead of a Python loop per key
-        isub = I[["__key"] + icols].rename(columns=rename_iv)
-        m = P.merge(isub, on="__key", how="inner")
-        s = m[rename_iv[start_col]].to_numpy().astype(np.int64)
-        e = m[rename_iv[end_col]].to_numpy().astype(np.int64)
-        ts = m["__ts"].to_numpy()
-        m = m[(ts >= s) & (ts <= e)]
-        if m.empty:
-            return pd.DataFrame({c: [] for c in out_cols})
-        out = m.rename(columns={"__ts": on})
-        return out[out_cols]
+        # containment filter — candidate pairs = sum over cogroups of
+        # |P_g|·|I_g|, paired in C
+        pi, ii = _join_pairs(P["__key"], I["__key"], "inner")
+        ts = P["__ts"].take(pi)
+        inside = pc.and_(pc.greater_equal(ts, _as_int(I[start_col].take(ii))),
+                         pc.less_equal(ts, _as_int(I[end_col].take(ii))))
+        pi, ii = pi.filter(inside), ii.filter(inside)
+        pv, iv = P.take(pi), I.take(ii)
+        return pa.table({**{c: pv[c] for c in pcols}, on: pv["__ts"],
+                         **{f"{c}{suffix}": iv[c] for c in icols}})
 
-    tagged = pt.union(it)
-    # the groupby's sort pays a fixed cost per input block (NOTES.md fact
-    # 6); the packed payload is tiny, so coalesce to ~2×CPU blocks first
-    tagged = tagged.repartition(max(16, num_buckets // 2))
-    return tagged.groupby("__bucket").map_groups(merge, batch_format="pandas")
+    return bucketed_cogroup([
+        (points.map_batches(tag_points, batch_format="pyarrow"), keys,
+         pa.schema([("__ts", pa.int64())] + [pschema.field(c) for c in pcols]),
+         True),
+        (intervals.map_batches(explode_intervals, batch_format="pyarrow"), keys,
+         pa.schema([ischema.field(c) for c in icols]), True),
+    ], match)

@@ -1,12 +1,17 @@
-"""Reusable relational operators: broadcast joins, two-phase aggregates,
-semi/anti joins, top-k — the generic engine surface the DuckDB oracle
-exercises over the TPC-H-ish tables.
+"""Reusable relational operators: broadcast joins, the bucketed join
+family, two-phase aggregates, bucketed groups, top-k — the generic engine
+surface the DuckDB oracle exercises over the TPC-H-ish tables.
 
 Design rules (SURVEY.md §4 + ray_guide):
 - small side broadcast via ``ray.put`` + per-batch vectorized lookup
   (pandas merge / numpy take) — no shuffle,
-- large-large joins go through ``Dataset.join`` (hash-partitioned) with
-  ``num_partitions`` sized to the cluster,
+- large-large joins are ONE family on :func:`bucketed_cogroup` (64 hash
+  buckets, per-bucket Arrow-IPC blobs, one groupby(bucket)) with the
+  :func:`_join_pairs` match-then-gather kernel: :func:`bucketed_join` here,
+  the as-of and range joins in ``stages/asof.py`` / ``stages/rangejoin.py``.
+  ``Dataset.join`` is not used (NOTES fact 1: schema-less empty hash
+  partitions break it on sparse keys),
+- per-key finishes run one hash bucket at a time (:func:`bucketed_groups`),
 - aggregates pre-reduce inside ``map_batches`` (one partial row per key per
   batch) before the groupby, so hot keys exchange O(blocks) not O(rows).
 """
@@ -50,10 +55,10 @@ def clear_broadcast_cache() -> None:
 def _concat_body(*tables):
     # Ray 2.49's to_arrow_refs takes its zero-copy path whenever the
     # DATASET-level schema reports Arrow — but a mixed-block dataset
-    # (pandas merge outputs ∪ schema-typed Arrow empties, the
-    # bucketed_join shape per NOTES facts 23/27) then leaks its PANDAS
-    # blocks through unconverted, and WHICH block the schema probe lands
-    # on is session/parallelism dependent. Normalize per block here.
+    # (pandas stage outputs ∪ Arrow blocks, or a map_groups' schema-less
+    # pandas empties, NOTES facts 23/27) then leaks its PANDAS blocks
+    # through unconverted, and WHICH block the schema probe lands on is
+    # session/parallelism dependent. Normalize per block here.
     norm = []
     for t in tables:
         if t is None:
@@ -183,66 +188,147 @@ def broadcast_semi_join(ds: Dataset, keys: set, *, on: str, anti: bool = False) 
     return ds.map_batches(semi, batch_format="pyarrow")
 
 
-def _pack_side(
-    key_col: str, keep_cols: list[str], side: int, num_buckets: int,
-    drop_null_keys: bool,
-):
+#: hash buckets of every :func:`bucketed_groups` and
+#: :func:`bucketed_cogroup` shuffle. Each group lands whole in one bucket,
+#: so no result depends on this number.
+_NUM_BUCKETS = 64
+_BUCKET = "__bucket"
+
+
+def _key_image(t: pa.Table, keys: list[str]):
+    """The string a group key hashes by: a single string key column as
+    is, else the ``\\x1f``-joined string casts of the key columns (null
+    when any part is null)."""
+    if len(keys) == 1 and pa.types.is_string(t.schema.field(keys[0]).type):
+        return t[keys[0]]
+    parts = [pc.cast(t[k], pa.string()) for k in keys]
+    return parts[0] if len(parts) == 1 else pc.binary_join_element_wise(
+        *parts, "\x1f")
+
+
+def _pack_side(keys: list[str], cols: list[str], side: int,
+               drop_null_keys: bool):
     """Batch fn: rows → one (bucket, side, ipc-blob) row per bucket present
     in the batch. The blob is the Arrow-IPC serialization of that bucket's
     sub-table (``__key`` + this side's payload columns only) — the shuffle
-    ships exactly the real data, never a null-padded superset of both
-    schemas, and the exchanged ROW count is O(batches × buckets), not
-    O(input rows)."""
-    import numpy as np
-
-    import pyarrow.compute as pc
-
+    ships exactly the real data, never a null-padded superset of all
+    sides' schemas, and the exchanged ROW count is O(batches × buckets),
+    not O(input rows)."""
     from code_graph_rag_ray.functions.hashing import partition_ids
 
+    empty = pa.table({_BUCKET: pa.array([], pa.int32()),
+                      "__side": pa.array([], pa.int8()),
+                      "__blob": pa.array([], pa.binary())})
+
     def pack(b: pa.Table) -> pa.Table:
-        key = pc.cast(b[key_col], pa.string())
-        if drop_null_keys and b.num_rows:
-            valid = pc.is_valid(key)
-            if not (pc.all(valid).as_py() or False):
-                b = b.filter(valid)
-                key = pc.cast(b[key_col], pa.string())
-        empty = pa.table(
-            {"__bucket": pa.array([], pa.int32()),
-             "__side": pa.array([], pa.int8()),
-             "__blob": pa.array([], pa.binary())}
-        )
         if b.num_rows == 0:
             return empty
-        missing = [c for c in keep_cols if c not in b.column_names]
+        missing = [c for c in (*keys, *cols) if c not in b.column_names]
         if missing:
             # almost always a stale schema PROBE on a filter/select plan
             # (NOTES fact 31) — tell the caller the deterministic fix
             raise KeyError(
-                f"bucketed_join pack: columns {missing} not in batch schema "
-                f"{b.column_names}; the side's inferred schema is stale — "
-                "pass left_schema/right_schema explicitly at the call site"
+                f"bucketed_cogroup pack: columns {missing} not in batch "
+                f"schema {b.column_names}; the side's inferred schema is "
+                "stale — pass left_schema/right_schema explicitly at the "
+                "bucketed_join call site"
             )
-        sub = pa.table({"__key": key, **{c: b[c] for c in keep_cols}})
-        buckets = partition_ids(key, num_buckets)
+        key = _key_image(b, keys)
+        if drop_null_keys and key.null_count:
+            valid = pc.is_valid(key)
+            b, key = b.filter(valid), key.filter(valid)
+            if b.num_rows == 0:
+                return empty
+        sub = pa.table({"__key": key, **{c: b[c] for c in cols}})
+        buckets = partition_ids(key, _NUM_BUCKETS)
         order = np.argsort(buckets, kind="stable")
         sorted_tbl = sub.take(pa.array(order, pa.int64()))
-        sb = buckets[order]
-        uniq, starts = np.unique(sb, return_index=True)
-        ends = np.append(starts[1:], len(sb))
+        uniq, starts = np.unique(buckets[order], return_index=True)
+        ends = np.append(starts[1:], len(order))
         blobs = []
         for s, e in zip(starts, ends):
-            t = sorted_tbl.slice(int(s), int(e - s))
             sink = pa.BufferOutputStream()
-            with pa.ipc.new_stream(sink, t.schema) as w:
-                w.write_table(t)
+            with pa.ipc.new_stream(sink, sorted_tbl.schema) as w:
+                w.write_table(sorted_tbl.slice(int(s), int(e - s)))
             blobs.append(sink.getvalue().to_pybytes())
-        return pa.table(
-            {"__bucket": pa.array(uniq.astype("int32")),
-             "__side": pa.array([side] * len(uniq), pa.int8()),
-             "__blob": pa.array(blobs, pa.binary())}
-        )
+        return pa.table({_BUCKET: pa.array(uniq.astype("int32")),
+                         "__side": pa.array([side] * len(uniq), pa.int8()),
+                         "__blob": pa.array(blobs, pa.binary())})
 
     return pack
+
+
+def bucketed_cogroup(sides: list, fn) -> Dataset:
+    """Cogroup several datasets by key, one hash BUCKET at a time — the
+    shuffle under every join here (:func:`bucketed_join`, as-of and range
+    joins).
+
+    ``sides`` is a list of ``(ds, keys, cols, drop_null_keys)``: ``keys``
+    lists the side's key columns, ``cols`` is a ``pa.Schema`` of the
+    payload columns that cross the shuffle, and ``drop_null_keys`` drops
+    rows whose key is null before they are packed (SQL: a null key never
+    matches). Rows hash by their key image (the string cast of the key,
+    ``\\x1f``-joined when composite, null if any part is null) into
+    ``_NUM_BUCKETS`` buckets. Each side's batches are packed into one
+    Arrow-IPC blob per bucket (NOTES fact 7), so each side ships only its
+    own columns. The packed rows are coalesced to ``max(16, 2 × CPUs)``
+    blocks first (the sort pays per input block, NOTES facts 6 and 29),
+    then one ``groupby(bucket).map_groups`` calls ``fn(*tables)`` once per
+    bucket. Table ``i`` holds side ``i``'s rows of that bucket — ``__key``
+    (the key image) plus its ``cols`` — or the side's typed empty table
+    when the bucket holds none of them. ``fn`` returns an Arrow table.
+
+    Contract: ``map_groups`` hands each bucket's ``fn`` output downstream
+    whole inside one block (several buckets may share a block; Ray slices
+    only blocks past 1.5 × its target block size), so a
+    ``map_batches(batch_size=None)`` over the output sees every key's rows
+    together — ``windows.running_total_per_key``, ``lag_per_key`` and
+    ``cohort_retention`` rely on it.
+    """
+    import ray
+
+    blob_schemas = [pa.schema([("__key", pa.string())] + list(cols))
+                    for _, _, cols, _ in sides]
+
+    def finish(g: pa.Table) -> pa.Table:
+        side = g["__side"].to_numpy()
+        blobs = g["__blob"]
+        tables = []
+        for i, schema in enumerate(blob_schemas):
+            tabs = [pa.ipc.open_stream(blobs[int(j)].as_buffer()).read_all()
+                    for j in np.flatnonzero(side == i)]
+            tables.append(pa.concat_tables(tabs, promote_options="default")
+                          if tabs else schema.empty_table())
+        return fn(*tables)
+
+    packed = [
+        ds.map_batches(_pack_side(keys, cols.names, i, drop_null_keys),
+                       batch_format="pyarrow")
+        for i, (ds, keys, cols, drop_null_keys) in enumerate(sides)
+    ]
+    ncpu = (int(ray.cluster_resources().get("CPU", 16))
+            if ray.is_initialized() else 16)
+    tagged = packed[0].union(*packed[1:]).repartition(max(16, 2 * ncpu))
+    return tagged.groupby(_BUCKET).map_groups(finish, batch_format="pyarrow")
+
+
+_JOIN_TYPES = {"inner": "inner", "left": "left outer", "right": "right outer",
+               "outer": "full outer", "semi": "left semi", "anti": "left anti"}
+
+
+def _join_pairs(lkey, rkey, how: str):
+    """Match two key columns: the (left, right) row-index pairs of the
+    ``how`` join, for the payloads to be gathered with ``Table.take`` (a
+    null index gathers a null row). Semi/anti return ``(left, None)``.
+
+    Only (key, row index) tables enter Arrow's hash join: its non-key
+    fields cannot be lists, and an index gather keeps every payload type
+    and every int64 value exact. Arrow's join has SQL null semantics — a
+    null key never matches, and anti keeps null-key left rows."""
+    lt = pa.table({"k": lkey, "li": pa.array(np.arange(len(lkey)), pa.int64())})
+    rt = pa.table({"k": rkey, "ri": pa.array(np.arange(len(rkey)), pa.int64())})
+    j = lt.join(rt, "k", join_type=_JOIN_TYPES[how], use_threads=False)
+    return j["li"], (j["ri"] if "ri" in j.column_names else None)
 
 
 def _arrow_schema(ds: Dataset) -> pa.Schema:
@@ -274,15 +360,27 @@ def bucketed_join(
     *,
     on: str | list[str],
     right_on: str | list[str] | None = None,
-    num_buckets: int | None = None,
     how: str = "inner",
-    coalesce: bool = True,
     left_schema: pa.Schema | None = None,
     right_schema: pa.Schema | None = None,
     bloom_prefilter: bool = False,
     bloom_bits: int = 1 << 22,
 ) -> Dataset:
-    """Large-large equi-join as an explicit bucketed cogroup hash join.
+    """Large-large equi-join as a :func:`bucketed_cogroup` hash join.
+
+    Each bucket's finish matches the two key columns to row-index pairs
+    (:func:`_join_pairs`) and gathers both sides' payloads with
+    ``Table.take`` — every payload type (lists included) and every int64
+    value comes out exact, and unmatched rows get typed nulls. This is the
+    portable partitioned-hash-join pattern (ray_guide «Joins»), used
+    instead of ``Dataset.join``, whose empty hash partitions are
+    schema-less and break on sparse keys (NOTES fact 1).
+
+    ``on`` / ``right_on`` may be LISTS for composite keys: rows match when
+    every part is equal (a null part never matches — the key image is
+    null), and the right key columns ride as ordinary payload
+    (``_r``-suffixed on collision). A single right key column is dropped
+    from the output except for ``how="outer"``.
 
     ``bloom_prefilter=True`` (inner/semi only) folds the right keys into
     an m-bit bloom bitmap first and drops non-hitting LEFT rows BEFORE
@@ -292,88 +390,27 @@ def bucketed_join(
     pinned (materialize) so the bloom fold does not execute it twice;
     use when right is the smaller side, as in fact⋈dimension joins.
 
-    ``on`` / ``right_on`` may be LISTS for composite keys: a derived
-    ``\\x1f``-joined string key is minted on both sides before the
-    shuffle (null if ANY part is null — SQL composite-equality
-    semantics) and dropped from the output; the individual right key
-    columns then ride as ordinary payload (``_r``-suffixed on collision).
-
-    Each side's batches are packed into per-bucket Arrow-IPC blobs
-    (:func:`_pack_side`); the union is grouped by bucket and each group
-    deserializes its blobs and does ONE vectorized pandas merge. This is the
-    portable partitioned-hash-join pattern (ray_guide «Joins») used instead
-    of ``Dataset.join`` because Ray 2.49's join emits schema-less empty hash
-    partitions that break on sparse keys (see stages/components.py).
-
-    Scale properties: the shuffle payload is exactly each side's own
-    columns (no null-padding to the union schema — the round-1 version
-    shipped ~2× width), and ``num_buckets`` defaults to 2×cluster-CPUs
-    (min 32) instead of a fixed constant; size it as input_bytes/256 MB on
-    a real cluster so one bucket's merge fits a worker. Hot keys: all rows
-    of one key share a bucket but the merge is columnar; raise
-    ``num_buckets`` or pre-salt a known whale key if a bucket outgrows a
-    worker.
+    Hot keys: all rows of one key share a bucket; pre-salt a known whale
+    key (:func:`code_graph_rag_ray.stages.skew.salted_join`) if a bucket
+    outgrows a worker.
 
     Null keys follow SQL semantics: null never equals null, so null-key
-    rows are dropped on both sides for inner joins (and on the right for
-    left joins) BEFORE the shuffle — a pandas merge would otherwise match
-    NaN keys to each other.
+    rows leave inner/semi joins (and the right side of left joins) before
+    the shuffle; outer joins keep them unmatched on both sides.
 
     Column collision: right-side columns that clash with left names get a
-    ``_r`` suffix (except the join key, which is dropped from the right).
+    ``_r`` suffix.
 
     ``how="semi"`` / ``"anti"`` give EXACT large-large existence joins
     (the decontamination shape when both sides outgrow a broadcast and a
-    bloom pre-filter isn't enough): only the right side's KEY column
-    crosses the shuffle, output is the left schema, anti keeps null-key
-    left rows (NOT EXISTS semantics).
+    bloom pre-filter isn't enough): only the right side's KEY crosses the
+    shuffle, output is the left schema, anti keeps null-key left rows
+    (NOT EXISTS semantics).
     """
-    if num_buckets is None:
-        try:
-            import ray
-
-            ncpu = int(ray.cluster_resources().get("CPU", 16))
-        except Exception:  # pragma: no cover - no cluster yet
-            ncpu = 16
-        num_buckets = max(32, 2 * ncpu)
-
-    if isinstance(on, list):
-        lkeys = on
-        rkeys = right_on if right_on is not None else on
-        assert isinstance(rkeys, list) and len(rkeys) == len(lkeys)
-
-        def mint(keys: list[str]):
-            def add(b: pa.Table) -> pa.Table:
-                import pyarrow.compute as pc
-                # null-if-any-null: emulate with a validity mask, since
-                # binary_join propagates nulls already
-                jk = pc.binary_join_element_wise(
-                    *[pc.cast(b[k], pa.string()) for k in keys], "\x1f"
-                )
-                return b.append_column("__jk", jk)
-
-            return add
-
-        ls = rs = None
-        if left_schema is not None:
-            ls = pa.schema(list(zip(left_schema.names, left_schema.types))
-                           + [("__jk", pa.string())])
-        if right_schema is not None:
-            rs = pa.schema(list(zip(right_schema.names, right_schema.types))
-                           + [("__jk", pa.string())])
-        out = bucketed_join(
-            left.map_batches(mint(lkeys), batch_format="pyarrow"),
-            right.map_batches(mint(rkeys), batch_format="pyarrow"),
-            on="__jk", num_buckets=num_buckets, how=how, coalesce=coalesce,
-            left_schema=ls, right_schema=rs,
-            bloom_prefilter=bloom_prefilter, bloom_bits=bloom_bits,
-        )
-        return out.map_batches(
-            lambda b: b.drop_columns([c for c in ("__jk",) if c in b.column_names]),
-            batch_format="pyarrow",
-        )
-
-    rkey = right_on or on
+    lkeys = on if isinstance(on, list) else [on]
+    rkeys = right_on if right_on is not None else on
+    rkeys = rkeys if isinstance(rkeys, list) else [rkeys]
+    assert len(rkeys) == len(lkeys)
     if bloom_prefilter and how in ("inner", "semi"):
         import ray as _ray
 
@@ -382,14 +419,14 @@ def bucketed_join(
 
         right = right.materialize()  # the bloom fold must not re-execute it
         rk = right.map_batches(
-            lambda b: pa.table({"__k": pc.cast(b[rkey], pa.string())}),
+            lambda b: pa.table({"__k": _key_image(b, rkeys)}),
             batch_format="pyarrow",
         )
         bits_ref = _ray.put(bloom_build(rk, "__k", m_bits=bloom_bits))
         mb = bloom_bits
 
         def lfilter(b: pa.Table) -> pa.Table:
-            key = pc.cast(b[on], pa.string())
+            key = _key_image(b, lkeys)
             mask = bloom_contains(get_broadcast(bits_ref), key, m_bits=mb, k=3)
             # null keys may land either way here — inner/semi drop them
             # at pack time regardless
@@ -397,119 +434,37 @@ def bucketed_join(
 
         left = left.map_batches(lfilter, batch_format="pyarrow")
 
-    # ``how="outer"`` (FULL OUTER): unmatched rows of BOTH sides survive
-    # with nulls on the other side. The right key column is KEPT (as
-    # ``<rkey>`` or ``<rkey>_r``) so right-only rows still carry their key
-    # — coalesce(left_on, right_key) downstream. Null-key rows are
-    # unmatched by SQL semantics but PRESERVED on both sides.
     # Schema hints matter when a side has an all-to-all upstream
     # (groupby/sort): the ds.schema() probe otherwise EXECUTES that whole
     # upstream once for the names (limit-1 truncates only post-sort
     # stages) — 2× cost plus the limit-cancellation refcount crash
-    # (NOTES.md fact 22). Types only parameterize the one-side-absent
-    # empty-table fallback, so approximate types are harmless.
+    # (NOTES.md fact 22). The types type a bucket's absent side.
     lschema = left_schema if left_schema is not None else _arrow_schema(left)
     rschema = right_schema if right_schema is not None else _arrow_schema(right)
-    lcols = list(lschema.names)
-    rcols = [c for c in rschema.names if c != rkey or how == "outer"]
-    rename_r = {c: (c + "_r" if c in lcols else c) for c in rcols}
-    lblob_schema = pa.schema(
-        [("__key", pa.string())] + [(c, lschema.field(c).type) for c in lcols]
-    )
-    rblob_schema = pa.schema(
-        [("__key", pa.string())] + [(c, rschema.field(c).type) for c in rcols]
-    )
-    out_cols = lcols if how in ("semi", "anti") else (
-        lcols + [rename_r[c] for c in rcols]
-    )
     if how in ("semi", "anti"):
-        # only the key column of the right side needs to cross the shuffle
-        rcols = []
-        rblob_schema = pa.schema([("__key", pa.string())])
+        rschema = pa.schema([])  # only the right key crosses the shuffle
+    else:
+        drop = rkeys if isinstance(on, str) and how != "outer" else []
+        rschema = pa.schema([f for f in rschema if f.name not in drop])
+    rnames = [c + "_r" if c in lschema.names else c for c in rschema.names]
 
-    tagged = left.map_batches(
-        # null keys: never match (SQL), so they leave inner/semi before the
-        # shuffle; anti follows NOT EXISTS semantics — null-key rows are
-        # kept (a null key cannot be proven present on the right)
-        _pack_side(on, lcols, 0, num_buckets,
-                   drop_null_keys=(how in ("inner", "semi", "right"))),
-        batch_format="pyarrow",
-    ).union(
-        right.map_batches(
-            _pack_side(rkey, rcols, 1, num_buckets,
-                       drop_null_keys=(how != "outer")),
-            batch_format="pyarrow",
-        )
-    )
-    if coalesce:
-        # The groupby's sort stage pays a fixed cost PER INPUT BLOCK
-        # (measured: identical tiny data, 200 blocks → 5.8 s, 8 blocks →
-        # 0.2 s). Packing emits one small block per upstream task, so
-        # coalescing the blob rows to ~2×CPUs blocks first removes that
-        # floor for one extra streaming pass over the packed payload.
-        # On a real multi-node run with fat (≥100 MB) packed blocks the
-        # extra pass costs more than it saves — pass ``coalesce=False``.
-        try:
-            import ray
+    def finish(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        li, ri = _join_pairs(lt["__key"], rt["__key"], how)
+        out = lt.drop_columns(["__key"]).take(li)
+        if ri is None:
+            return out
+        rvals = rt.drop_columns(["__key"]).take(ri)
+        for name, col in zip(rnames, rvals.columns):
+            out = out.append_column(name, col)
+        return out
 
-            ncpu = int(ray.cluster_resources().get("CPU", 16))
-        except Exception:  # pragma: no cover
-            ncpu = 16
-        tagged = tagged.repartition(max(16, 2 * ncpu))
-
-    def _read_side(blobs, schema: pa.Schema) -> pd.DataFrame:
-        tabs = [pa.ipc.open_stream(pa.py_buffer(x)).read_all() for x in blobs]
-        if not tabs:
-            tabs = [schema.empty_table()]
-        return pa.concat_tables(tabs).to_pandas()
-
-    # typed empty output for matchless buckets: an EMPTY pandas frame's
-    # object columns trip Ray's block-size sampler (np.vectorize on size-0
-    # input → one logged warning per bucket) and its inferred arrow schema
-    # would be NULL-typed (NOTES fact 26). Nonempty results stay pandas —
-    # their dtypes come from the real IPC blob schemas, so block schemas
-    # agree either way.
-    _types = {c: lblob_schema.field(c).type for c in lblob_schema.names}
-    _types.update({c: rblob_schema.field(k).type
-                   for k, c in rename_r.items() if k in rblob_schema.names})
-    out_empty = (
-        pa.schema([(c, _types[c]) for c in out_cols]).empty_table()
-        if how != "outer" else None
-    )
-
-    def merge(g: pd.DataFrame):
-        lf = _read_side(g.loc[g["__side"] == 0, "__blob"], lblob_schema)
-        rf = _read_side(g.loc[g["__side"] == 1, "__blob"], rblob_schema).rename(
-            columns=rename_r
-        )
-        if how in ("semi", "anti"):
-            present = lf["__key"].isin(set(rf["__key"]))
-            # anti keeps null-key rows: null is never "present" on the right
-            keep = present if how == "semi" else ~present
-            out = lf.loc[keep, out_cols]
-            return out_empty if out_empty is not None and len(out) == 0 else out
-        if how == "outer":
-            # pandas merge matches NaN==NaN; SQL says null never matches —
-            # split null-key rows out, merge the rest, re-append unmatched
-            ln, rn = lf["__key"].isna(), rf["__key"].isna()
-            m = lf[~ln].merge(rf[~rn], on="__key", how="outer")
-            m = pd.concat([m, lf[ln], rf[rn]], ignore_index=True)
-            # NOTES fact 15: unmatched rows upcast int→float64, and only in
-            # the groups that HAVE unmatched rows (per-group dtype drift →
-            # block schema mismatch at union). Unify every source-int
-            # column to nullable Int64 from the SOURCE dtypes, which are
-            # identical in every group.
-            for src in (lf, rf):
-                for c, dt in src.dtypes.items():
-                    if c in m.columns and pd.api.types.is_integer_dtype(dt):
-                        m[c] = m[c].astype("Int64")
-            return m[out_cols]
-        m = lf.merge(rf, on="__key", how=how)
-        if out_empty is not None and len(m) == 0:
-            return out_empty
-        return m[out_cols]
-
-    return tagged.groupby("__bucket").map_groups(merge, batch_format="pandas")
+    return bucketed_cogroup([
+        # null keys: never match (SQL), so they leave inner/semi/right
+        # before the shuffle; anti follows NOT EXISTS semantics — null-key
+        # rows are kept (a null key cannot be proven present on the right)
+        (left, lkeys, lschema, how in ("inner", "semi", "right")),
+        (right, rkeys, rschema, how != "outer"),
+    ], finish)
 
 
 #: default worker-heap budget for a broadcast join side. One broadcast
@@ -528,7 +483,6 @@ def adaptive_join(
     broadcast_budget_bytes: int | None = None,
     left_schema: pa.Schema | None = None,
     right_schema: pa.Schema | None = None,
-    num_buckets: int | None = None,
 ) -> Dataset:
     """Equi-join that PICKS its physical plan from the right side's
     measured size: broadcast (map-side hash lookup, zero shuffle of the
@@ -579,7 +533,6 @@ def adaptive_join(
             return bucketed_join(
                 left, right, on=on, right_on=right_on, how=how,
                 left_schema=left_schema, right_schema=right_schema,
-                num_buckets=num_buckets,
             )
         collide = {c: c + "_r" for c in rnames if c != rkey and c in lnames}
         if collide:
@@ -600,7 +553,6 @@ def adaptive_join(
     return bucketed_join(
         left, right, on=on, right_on=right_on, how=how,
         left_schema=left_schema, right_schema=right_schema,
-        num_buckets=num_buckets,
     )
 
 
@@ -681,22 +633,6 @@ def top_k(ds: Dataset, by: str, k: int, *, descending: bool = True) -> Dataset:
         .repartition(1)
         .map_batches(local, batch_format="pyarrow", batch_size=None)
     )
-
-
-#: hash buckets of every :func:`bucketed_groups` shuffle. Each group lands
-#: whole in one bucket, so no result depends on this number.
-_NUM_BUCKETS = 64
-_BUCKET = "__bucket"
-
-
-def _key_image(t: pa.Table, keys: list[str]):
-    """The string a group key hashes by: a single string key column as
-    is, else the ``\\x1f``-joined string casts of the key columns."""
-    if len(keys) == 1 and pa.types.is_string(t.schema.field(keys[0]).type):
-        return t[keys[0]]
-    parts = [pc.cast(t[k], pa.string()) for k in keys]
-    return parts[0] if len(parts) == 1 else pc.binary_join_element_wise(
-        *parts, "\x1f")
 
 
 def bucketed_groups(ds: Dataset | list[Dataset], keys: str | list[str], fn) -> Dataset:

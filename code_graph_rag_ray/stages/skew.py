@@ -113,7 +113,6 @@ def salted_join(
     right_on: str | None = None,
     hot_keys: list,
     salt_factor: int = 16,
-    num_buckets: int | None = None,
     left_schema: "pa.Schema | None" = None,
     right_schema: "pa.Schema | None" = None,
 ) -> Dataset:
@@ -184,7 +183,7 @@ def salted_join(
     joined = bucketed_join(
         left.map_batches(salt_left, batch_format="pyarrow"),
         right.map_batches(salt_right, batch_format="pyarrow"),
-        on="__sk", how="inner", num_buckets=num_buckets,
+        on="__sk", how="inner",
         left_schema=ls, right_schema=rs,
     )
     drop = ["__sk"] + ([rkey + "_r"] if rkey == on else [rkey])

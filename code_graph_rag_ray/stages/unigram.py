@@ -119,7 +119,8 @@ def piece_logprobs(vocab: pa.Table) -> dict[str, float]:
 def _viterbi_pieces(word: str, lp: dict[str, float], lmax: int) -> int:
     """Piece count of the max-likelihood segmentation. Ties prefer the
     SHORTEST last piece (ascending-l scan, strictly-greater update) —
-    the rule the SQL oracle's CASE chain reproduces."""
+    the rule the SQL oracle's CASE chain reproduces. Raises ``ValueError``
+    when no segmentation exists (a character outside the vocab)."""
     n = len(word)
     dp: list[float | None] = [0.0] + [None] * n
     kp = [0] * (n + 1)
@@ -138,6 +139,9 @@ def _viterbi_pieces(word: str, lp: dict[str, float], lmax: int) -> int:
                 best, bestk = cand, kp[j - l] + 1
         dp[j] = best
         kp[j] = bestk
+    if dp[n] is None:
+        raise ValueError(f"unigram: word {word!r} has no segmentation over "
+                         "the vocab (a character outside it)")
     return kp[n]
 
 
@@ -154,7 +158,9 @@ def unigram_tokenize(
 
     Returns (id, n_words, n_ug_pieces) per document; the DP runs once per
     batch-DISTINCT word (see module docstring). Single-char coverage in
-    the vocab guarantees every word is segmentable."""
+    the vocab guarantees every word is segmentable; a word holding a
+    character outside the vocab raises ``ValueError`` naming the word
+    instead of miscounting it."""
     lp = piece_logprobs(vocab)
 
     def tok(b: pa.Table) -> pa.Table:

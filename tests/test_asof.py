@@ -124,3 +124,25 @@ def test_asof_tolerance_rejects_stale_carry():
         left, right, by="k", on="ts", right_cols=["rv"], chunk_s=60,
     ).to_pandas().set_index("lid")
     assert out2.loc[3, "rv_r"] == 20
+
+
+def test_asof_int64_payload_exact_next_to_a_miss():
+    """A miss and a match in one cogroup: the matched int64 payload
+    2**53 + 1 is not a double and must come back unchanged, as int64."""
+    import pyarrow as pa
+
+    left = rd.from_arrow(pa.table({
+        "k": pa.array([1, 1], pa.int64()),
+        "ts": pa.array([5_000_000, 20_000_000], pa.int64()),  # 5s miss, 20s hit
+        "lid": pa.array([1, 2], pa.int64()),
+    }))
+    right = rd.from_arrow(pa.table({
+        "k": pa.array([1], pa.int64()),
+        "ts": pa.array([10_000_000], pa.int64()),
+        "rv": pa.array([2**53 + 1], pa.int64()),
+    }))
+    out = asof_join_chunked(left, right, by="k", on="ts", right_cols=["rv"],
+                            chunk_s=3600).take_all()
+    got = {r["lid"]: r["rv_r"] for r in out}
+    assert got == {1: None, 2: 2**53 + 1}
+    assert all(isinstance(r["rv_r"], (int, type(None))) for r in out)

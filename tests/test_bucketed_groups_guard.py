@@ -1,15 +1,19 @@
 """Guard: the bucketed-groups pattern (NOTES fact 25) lives in ONE operator,
-``relational.bucketed_groups``. The modules and functions ported onto it
-must not grow a hand-made bucket shuffle or a pandas group finish again."""
+``relational.bucketed_groups``, and the join family in ONE cogroup,
+``relational.bucketed_cogroup``. The modules and functions ported onto them
+must not grow a hand-made bucket shuffle, a pandas group finish or a join
+bucket knob again."""
 
 from __future__ import annotations
 
 import inspect
+import pathlib
 import re
 
 import pytest
 
 from code_graph_rag_ray.stages import (
+    asof,
     components,
     dedup,
     fusion,
@@ -17,7 +21,9 @@ from code_graph_rag_ray.stages import (
     linking,
     materialize,
     paths,
+    rangejoin,
     relational,
+    skew,
 )
 from code_graph_rag_ray.state import lineage
 
@@ -28,14 +34,24 @@ PANDAS_GROUP_FINISH = re.compile(
     re.S)
 
 SOURCES = {
-    **{m.__name__: m for m in (components, fusion, linking, materialize, paths,
-                               lineage)},
+    **{m.__name__: m for m in (asof, components, fusion, linking, materialize,
+                               paths, rangejoin, lineage)},
     **{f"{f.__module__}.{f.__name__}": f for f in (
         dedup._dedup_pairs_bucketed, dedup._pairs_from_buckets,
         dedup.editdist1_pairs, dedup.dup_ngram_spans, dedup.dup_span_apply,
-        graph_metrics.label_propagation, relational.grouped_top_k,
-        relational.grouped_collect, relational.grouped_trimmed_sum)},
+        graph_metrics.bfs_hops, graph_metrics.label_propagation,
+        graph_metrics.sssp_bounded, relational.bucketed_join,
+        relational.grouped_top_k, relational.grouped_collect,
+        relational.grouped_trimmed_sum)},
 }
+
+JOIN_FAMILY = (
+    relational.bucketed_cogroup, relational.bucketed_join,
+    relational.adaptive_join, asof.asof_join_chunked,
+    rangejoin.range_join_chunked, skew.salted_join, paths.match_pattern,
+    paths._match_fixed, paths.count_pattern, paths.bounded_reachability,
+    graph_metrics.bfs_hops, graph_metrics.sssp_bounded,
+)
 
 
 @pytest.mark.parametrize("name", sorted(SOURCES))
@@ -57,3 +73,20 @@ def test_guard_patterns_catch_the_old_shapes():
         '              batch_format="pandas")')
     assert not PANDAS_GROUP_FINISH.search(
         'x.groupby("k").map_groups(f, batch_format="pyarrow")')
+
+
+@pytest.mark.parametrize("fn", JOIN_FAMILY, ids=lambda f: f.__name__)
+def test_join_family_has_no_bucket_knobs(fn):
+    # results never depend on the bucket count; the cogroup owns it
+    params = set(inspect.signature(fn).parameters)
+    assert not params & {"num_buckets", "coalesce"}, fn.__name__
+
+
+def test_pack_side_only_feeds_bucketed_cogroup():
+    root = pathlib.Path(relational.__file__).parents[1]
+    users = {p.relative_to(root).as_posix(): p.read_text().count("_pack_side")
+             for p in root.rglob("*.py")}
+    users = {k: n for k, n in users.items() if n}
+    in_cogroup = inspect.getsource(relational.bucketed_cogroup).count("_pack_side")
+    assert in_cogroup == 1
+    assert users == {"stages/relational.py": 1 + in_cogroup}  # def + its call

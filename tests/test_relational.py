@@ -41,11 +41,11 @@ def test_bucketed_join_inner_and_left():
 
     left = _ds([{"k": 1, "v": 10}, {"k": 2, "v": 20}, {"k": 2, "v": 21}, {"k": 9, "v": 90}])
     right = _ds([{"kk": 1, "w": "a"}, {"kk": 2, "w": "b"}])
-    inner = bucketed_join(left, right, on="k", right_on="kk", num_buckets=4).to_pandas()
+    inner = bucketed_join(left, right, on="k", right_on="kk").to_pandas()
     got = sorted(map(tuple, inner[["k", "v", "w"]].itertuples(index=False)))
     assert got == [(1, 10, "a"), (2, 20, "b"), (2, 21, "b")]
 
-    lo = bucketed_join(left, right, on="k", right_on="kk", num_buckets=4, how="left").to_pandas()
+    lo = bucketed_join(left, right, on="k", right_on="kk", how="left").to_pandas()
     assert len(lo) == 4
     assert lo[lo.k == 9].w.isna().all()
 
@@ -55,7 +55,7 @@ def test_bucketed_join_column_collision_suffix():
 
     left = _ds([{"k": 1, "v": 10}])
     right = _ds([{"k": 1, "v": 99}])
-    out = bucketed_join(left, right, on="k", num_buckets=2).to_pandas()
+    out = bucketed_join(left, right, on="k").to_pandas()
     assert sorted(out.columns) == ["k", "v", "v_r"]
     assert out.v.iloc[0] == 10 and out.v_r.iloc[0] == 99
 
@@ -100,10 +100,10 @@ def test_bucketed_join_null_keys_sql_semantics():
 
     left = _ds([{"k": "a", "v": 1}, {"k": None, "v": 2}])
     right = _ds([{"k": "a", "w": 10}, {"k": None, "w": 20}])
-    inner = bucketed_join(left, right, on="k", num_buckets=4).to_pandas()
+    inner = bucketed_join(left, right, on="k").to_pandas()
     assert len(inner) == 1 and inner.iloc[0].v == 1 and inner.iloc[0].w == 10
 
-    lo = bucketed_join(left, right, on="k", num_buckets=4, how="left").to_pandas()
+    lo = bucketed_join(left, right, on="k", how="left").to_pandas()
     assert len(lo) == 2
     assert lo[lo.v == 2].w.isna().all()  # null-key left row kept, unmatched
 
@@ -116,7 +116,7 @@ def test_bucketed_join_skewed_whale_key():
         [{"k": "whale" if i % 5 else f"t{i}", "v": i} for i in range(200)]
     )
     right = _ds([{"k": "whale", "w": 1}, {"k": "t5", "w": 2}, {"k": "zzz", "w": 3}])
-    out = bucketed_join(left, right, on="k", num_buckets=8).to_pandas()
+    out = bucketed_join(left, right, on="k").to_pandas()
     n_whale_left = sum(1 for i in range(200) if i % 5)
     assert len(out) == n_whale_left + 1  # every whale row + the t5 row
     assert (out[out.k == "whale"].w == 1).all()
@@ -602,3 +602,87 @@ def test_run_starts_cases():
     assert run_starts(t, ["g"]).tolist() == [True, False, True, False, True, False]
     assert run_starts(t, ["g", "h"]).tolist() == [True, True, True, False, True, False]
     assert run_starts(t, ["h"]).dtype == np.bool_
+
+
+
+def _arrow_blocks(ds) -> list[pa.Table]:
+    """The dataset's non-empty-schema blocks as Arrow tables, unconverted
+    by Ray's dataset-level schema."""
+    import ray
+
+    blocks = [b if isinstance(b, pa.Table) else pa.Table.from_pandas(b)
+              for b in ray.get(ds.to_arrow_refs())]
+    return [b for b in blocks if b.num_columns]
+
+
+def _precision_sides():
+    """200 left keys, 100 of them matched, int64 payloads 2**53 + k."""
+    left = rd.from_arrow(pa.table({
+        "k": pa.array(range(200), pa.int64()),
+        "lv": pa.array(range(200), pa.int64()),
+    })).repartition(3)
+    right = pa.table({
+        "k": pa.array(range(0, 400, 2), pa.int64()),
+        "rv": pa.array([2**53 + k for k in range(0, 400, 2)], pa.int64()),
+    })
+    return left, right
+
+
+def test_bucketed_join_exact_int64_payload_with_unmatched_rows():
+    """Unmatched rows must not turn int64 payloads into doubles: 2**53 + k
+    is not a double, so a float round-trip changes every odd value."""
+    from code_graph_rag_ray.stages.relational import bucketed_join
+
+    left, right = _precision_sides()
+    right = rd.from_arrow(right).repartition(2)
+    for how in ("left", "outer"):
+        blocks = _arrow_blocks(bucketed_join(left, right, on="k", how=how))
+        for b in blocks:
+            assert b.schema.field("rv").type == pa.int64(), how
+        rows = pa.concat_tables(blocks).to_pylist()
+        matched = [r for r in rows if r["lv"] is not None and r["rv"] is not None]
+        assert len(matched) == 100, how
+        assert all(r["rv"] == 2**53 + r["k"] for r in matched), how
+        assert sum(r["rv"] is None for r in rows) == 100, how
+        if how == "outer":
+            right_only = [r for r in rows if r["lv"] is None]
+            assert len(right_only) == 100
+            assert all(r["rv"] == 2**53 + r["k_r"] for r in right_only)
+
+
+def test_bucketed_join_list_payload_through_left_join():
+    from code_graph_rag_ray.stages.relational import bucketed_join
+
+    left, right = _precision_sides()
+    right = rd.from_arrow(right.append_column(
+        "rl", pa.array([[k, 2**53 + k] for k in right["k"].to_pylist()],
+                       pa.list_(pa.int64())))).repartition(2)
+    blocks = _arrow_blocks(bucketed_join(left, right, on="k", how="left"))
+    for b in blocks:
+        assert b.schema.field("rl").type == pa.list_(pa.int64())
+    rows = pa.concat_tables(blocks).to_pylist()
+    assert len(rows) == 200
+    assert all(r["rl"] == ([r["k"], 2**53 + r["k"]] if r["k"] % 2 == 0 else None)
+               for r in rows)
+
+
+def test_bucketed_join_against_empty_right_keeps_declared_schema():
+    from code_graph_rag_ray.stages.relational import bucketed_join
+
+    left = rd.from_arrow(pa.table({
+        "k": pa.array([1, 2, 3], pa.int64()),
+        "lv": pa.array([10, 20, 30], pa.int64()),
+    })).repartition(2)
+    rschema = pa.schema([("k", pa.int64()), ("rv", pa.int64()),
+                         ("rs", pa.string())])
+    right = rd.from_arrow(rschema.empty_table()).materialize()
+    declared = pa.schema([("k", pa.int64()), ("lv", pa.int64()),
+                          ("rv", pa.int64()), ("rs", pa.string())])
+    for how, n in (("inner", 0), ("left", 3)):
+        blocks = _arrow_blocks(bucketed_join(left, right, on="k", how=how))
+        assert blocks, how
+        for b in blocks:
+            assert b.schema == declared, (how, b.schema)
+        t = pa.concat_tables(blocks)
+        assert t.num_rows == n, how
+        assert t["rv"].null_count == n and t["rs"].null_count == n, how

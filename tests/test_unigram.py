@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 import pyarrow as pa
+import pytest
 import ray.data as rd
 
 from code_graph_rag_ray.stages.unigram import (
@@ -56,6 +57,10 @@ def test_viterbi_prefers_high_probability_pieces():
     assert _viterbi_pieces("ab", lp, 5) == 1
     # without the multi-char piece it falls back to singles
     assert _viterbi_pieces("ba", lp, 5) == 2
+    # a character outside the vocab, anywhere in the word: no segmentation
+    for word in ("abz", "zab", "azb"):
+        with pytest.raises(ValueError, match=repr(word)):
+            _viterbi_pieces(word, lp, 5)
 
 
 def test_unigram_vocab_keeps_all_singles_and_topk_multis():
@@ -87,6 +92,11 @@ def test_unigram_tokenize_end_to_end_counts():
     assert out.loc[3, "n_words"] == 0 and out.loc[3, "n_ug_pieces"] == 0
     # every word must be segmentable (single-char coverage)
     assert (out["n_ug_pieces"] >= out["n_words"] * 0).all()
+    # a character the vocab lacks fails loudly, naming the word
+    oov = rd.from_arrow(pa.table({"doc_id": pa.array([4], pa.int64()),
+                                  "text": pa.array(["aa ab"], pa.string())}))
+    with pytest.raises(Exception, match="'ab'"):
+        unigram_tokenize(oov, vt, lmax=4).take_all()
 
 
 def test_viterbi_fuzz_matches_bruteforce():

@@ -96,6 +96,10 @@ def test_distributed_export_then_read_back(tmp_path):
     want = fx.pages.to_pandas().sort_values("url").reset_index(drop=True)
     assert got["html"].tolist() == want["html"].tolist()
     assert (got["warc_ts"].astype("int64") == want["warc_ts"].astype("int64")).all()
+    # shard names follow batch boundaries: a second export into the same
+    # directory could leave stale shards that this read-back counts twice
+    with pytest.raises(FileExistsError, match="shard"):
+        write_pages_warc_dataset(ds.repartition(3), out)
 
 
 def test_kg_identical_from_warc_and_parquet(tmp_path):
