@@ -920,8 +920,8 @@ def events_running_total(sf_dir: str):
     """Per-user cumulative running total — the distributed unbounded
     window function ``sum(v) OVER (PARTITION BY user ORDER BY ts)``.
     Chunked two-phase: per-(key, time-chunk) totals → per-key exclusive
-    prefix over the SUMMARIES → one bucketed join hands each chunk its
-    carry-in; the local RANGE prefix runs inside the join's bucket blocks
+    prefix over the SUMMARIES → one cogroup of events and carry-ins runs
+    the local RANGE prefix per bucket
     (stages/windows.running_total_per_key). Integer cents → bit-exact."""
     from code_graph_rag_ray.stages.windows import running_total_per_key
 
@@ -5892,8 +5892,8 @@ FROM d GROUP BY dep_name
 def events_transitions(sf_dir: str):
     """Per-user event-type transition matrix (Markov bigram counts):
     lag(event_type) OVER (PARTITION BY user_id ORDER BY ts, event_id) →
-    two-phase (prev, next) count. The type vocabulary is broadcast-encoded
-    into the int codes the chunked LAG machinery carries
+    two-phase (prev, next) count: chunk-local bigrams plus per-chunk
+    boundary types, stitched across chunks per user
     (stages/windows.transition_counts); the exchange is O(blocks × T²)."""
     from code_graph_rag_ray.stages.windows import transition_counts
 

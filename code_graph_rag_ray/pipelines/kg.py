@@ -6,7 +6,7 @@ reference's ``GraphUpdater.run()`` three-pass lifecycle
 pipeline with explicit shuffles:
 
     read pages ──map_batches──▶ extract_text (drop html early)
-        └─▶ actor-pool MentionLinker (broadcast alias dict)   [Pass 2+3]
+        └─▶ MentionLinker tasks (broadcast alias dict)       [Pass 2+3]
               ├─▶ triples: filter+project → exact_dedup (groupby shuffle)
               └─▶ nodes: canonicalize_entities (groupby + CC)  [A1/A3]
     materialize: hash(subj)-partitioned, sorted parquet + manifests
@@ -56,7 +56,6 @@ def build_kg(
     relations: dict[str, str] | None = None,
     registry: dict | None = None,
     checkpoint_dir: str | None = None,
-    linker_concurrency: int | None = None,
     num_partitions: int = 16,
     fingerprint: str = "",
     dedup_scope: str = "provenance-local",
@@ -64,7 +63,6 @@ def build_kg(
     build_nodes: bool = True,
     build_links: bool = False,
     host_priors: bool = False,
-    host_prior_min_count: int = 2,
     shouty_two_tier: bool = False,
 ) -> dict:
     """Run the full KG construction over a pages Dataset.
@@ -81,14 +79,6 @@ def build_kg(
 
     alias_ref = ray.put(alias_tbl)
 
-    # linker_concurrency=None → stateless-task linking with a per-worker
-    # cached linker (no actor pool). When a pool IS requested, leave CPU
-    # headroom for the other stages — a pool that reserves every CPU starves
-    # the pipeline (observed deadlock at num_cpus=4 with concurrency=4).
-    if linker_concurrency is not None:
-        total = int(ray.cluster_resources().get("CPU", 4))
-        linker_concurrency = min(linker_concurrency, max(2, total - 2))
-
     def build_mentions() -> Dataset:
         text = pages.map_batches(extract_text_batch, batch_format="pyarrow")
         if host_priors:
@@ -99,8 +89,6 @@ def build_kg(
 
             return link_mentions_two_pass(
                 text, alias_ref, relations=relations, registry=registry,
-                concurrency=linker_concurrency,
-                min_count=host_prior_min_count,
                 shouty_two_tier=shouty_two_tier,
             )
         if shouty_two_tier:
@@ -112,10 +100,7 @@ def build_kg(
                 text, alias_ref, relations=relations, registry=registry,
                 shouty_to_precise=True,
             )
-        return link_mentions(
-            text, alias_ref, relations=relations, registry=registry,
-            concurrency=linker_concurrency,
-        )
+        return link_mentions(text, alias_ref, relations=relations, registry=registry)
 
     ckpt = None
     if checkpoint_dir:

@@ -767,8 +767,6 @@ def link_mentions_two_pass(
     *,
     relations: dict[str, str] | None = None,
     registry: dict[str, ExtractorSpec] | None = None,
-    concurrency: int | None = None,
-    min_count: int = 2,
     max_prior_rows: int = 1_000_000,
     shouty_two_tier: bool = False,
     precise_concurrency: int = 2,
@@ -804,11 +802,11 @@ def link_mentions_two_pass(
             )
         return link_mentions(
             pages_text_ds, alias_ref, relations=relations, registry=registry,
-            concurrency=concurrency, host_prior_ref=host_prior_ref,
+            host_prior_ref=host_prior_ref,
         )
 
     pass1 = _link()
-    priors_ds = mine_host_priors(pass1, min_count=min_count)
+    priors_ds = mine_host_priors(pass1)
 
     def cap_local(b: pa.Table) -> pa.Table:
         import pyarrow.compute as pc

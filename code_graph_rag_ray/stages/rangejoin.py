@@ -50,6 +50,14 @@ def _as_int(col) -> pa.Array:
     return pc.cast(col, pa.int64())
 
 
+def _floor_div(a: pa.Array, d: int) -> pa.Array:
+    """``a // d`` rounded toward −∞ for ``d > 0`` (Arrow's integer divide
+    truncates), nulls kept — the rule the interval side's numpy ``//``
+    uses, so a negative point lands in the chunk its interval covers."""
+    q = pc.divide(a, d)
+    return pc.subtract(q, pc.cast(pc.greater(pc.multiply(q, d), a), pa.int64()))
+
+
 def range_join_chunked(
     points: Dataset,
     intervals: Dataset,
@@ -72,10 +80,8 @@ def range_join_chunked(
     keys = [by, "__chunk"]
 
     def tag_points(b: pa.Table) -> pa.Table:
-        ts = _as_int(b[on])
-        if points_ts_div != 1:
-            ts = pc.divide(ts, points_ts_div)
-        return pa.table({"__ts": ts, "__chunk": pc.divide(ts, chunk),
+        ts = _floor_div(_as_int(b[on]), points_ts_div)
+        return pa.table({"__ts": ts, "__chunk": _floor_div(ts, chunk),
                          **{c: b[c] for c in pcols}})
 
     def explode_intervals(b: pa.Table) -> pa.Table:

@@ -4,7 +4,7 @@ surface the DuckDB oracle exercises over the TPC-H-ish tables.
 
 Design rules (SURVEY.md §4 + ray_guide):
 - small side broadcast via ``ray.put`` + per-batch vectorized lookup
-  (pandas merge / numpy take) — no shuffle,
+  (:func:`_join_pairs` + ``take``) — no shuffle,
 - large-large joins are ONE family on :func:`bucketed_cogroup` (64 hash
   buckets, per-bucket Arrow-IPC blobs, one groupby(bucket)) with the
   :func:`_join_pairs` match-then-gather kernel: :func:`bucketed_join` here,
@@ -90,27 +90,34 @@ _concat_tables_task = None
 
 def broadcast_join(
     ds: Dataset,
-    small: pd.DataFrame | Dataset,
+    small: pd.DataFrame | pa.Table | Dataset,
     *,
     on: str,
     how: str = "inner",
     right_on: str | None = None,
 ) -> Dataset:
-    """Map-side hash join: the small side shipped once, looked up per batch
-    with a pandas merge (vectorized).
+    """Map-side hash join: the small side shipped once as one Arrow table,
+    matched per batch with :func:`_join_pairs` and gathered with
+    ``Table.take`` — every int64 value stays exact and unmatched rows get
+    typed nulls.
 
-    ``small`` may be a pandas frame (driver-resident dimension — shipped
-    via ``ray.put``) or a **Dataset** — e.g. the output of an upstream
-    distributed join. The Dataset path never lands on the driver: its
-    blocks stay in the object store (``to_arrow_refs``), a Ray task concats
-    them into one shared object, and each worker fetches + indexes that
-    object once (worker-global cache). Use it when the small side fits a
-    worker heap but must not transit the driver; beyond that, use
-    :func:`bucketed_join`.
+    ``small`` may be a pandas frame or Arrow table (driver-resident
+    dimension — converted to Arrow once and shipped via ``ray.put``) or a
+    **Dataset** — e.g. the output of an upstream distributed join. The
+    Dataset path never lands on the driver: its blocks stay in the object
+    store (``to_arrow_refs``), a Ray task concats them into one shared
+    object, and each worker fetches it once (worker-global cache). Use it
+    when the small side fits a worker heap but must not transit the
+    driver; beyond that, use :func:`bucketed_join`.
+
+    Output: the batch's columns, then the small side's minus its key
+    column; right columns that clash with left names get an ``_r`` suffix
+    (the :func:`bucketed_join` contract). A null key never matches (SQL),
+    on either side.
     """
     import ray
 
-    from code_graph_rag_ray.functions.broadcast import get_broadcast_transformed
+    from code_graph_rag_ray.functions.broadcast import get_broadcast
 
     rkey = right_on or on
 
@@ -144,29 +151,35 @@ def broadcast_join(
             cache[key] = (ref, est)
         else:
             ref = entry[0]
-
-        def to_frame(obj):
-            return obj.to_pandas() if isinstance(obj, pa.Table) else obj
     else:
+        if not isinstance(small, pa.Table):
+            small = pa.Table.from_pandas(small, preserve_index=False)
         ref = ray.put(small)
 
-        def to_frame(obj):
-            return obj
-
-    def join(batch: pd.DataFrame) -> pd.DataFrame:
-        small_df = get_broadcast_transformed(ref, "pandas", to_frame)
-        # SQL null semantics: a null join key never matches — pandas
-        # merge would match NaN==NaN, which made the result depend on the
-        # physical plan (the bucketed path drops null keys per SQL).
-        # Dropping null-key rows from the SMALL side is sufficient: left
-        # null keys then match nothing (inner drops them, left keeps them
-        # unmatched) — exactly SQL on both paths.
-        if len(small_df) and small_df[rkey].isna().any():
-            small_df = small_df[small_df[rkey].notna()]
-        return batch.merge(small_df, how=how, left_on=on, right_on=rkey)
+    def join(batch: pa.Table) -> pa.Table:
+        right = get_broadcast(ref)
+        rk = right[rkey]
+        if rk.type != batch.schema.field(on).type:
+            # Arrow's join wants equal key types; the bucketed plan matches
+            # string key images, so int32 meets int64 there as well
+            rk = pc.cast(rk, batch.schema.field(on).type)
+        li, ri = _join_pairs(batch[on], rk, how)
+        # the batch's row order, so float folds downstream keep their bits
+        order = pa.array(np.argsort(li.to_numpy(), kind="stable"))
+        out = batch.take(li.take(order))
+        if ri is None:
+            return out
+        ri = ri.take(order)
+        for name in right.column_names:
+            if name == rkey:
+                continue
+            out = out.append_column(
+                name + "_r" if name in batch.column_names else name,
+                right[name].take(ri))
+        return out
 
     # plain task fn + worker-global cache: no per-stage actor startup
-    return ds.map_batches(join, batch_format="pandas")
+    return ds.map_batches(join, batch_format="pyarrow")
 
 
 def broadcast_semi_join(ds: Dataset, keys: set, *, on: str, anti: bool = False) -> Dataset:
@@ -282,8 +295,8 @@ def bucketed_cogroup(sides: list, fn) -> Dataset:
     whole inside one block (several buckets may share a block; Ray slices
     only blocks past 1.5 × its target block size), so a
     ``map_batches(batch_size=None)`` over the output sees every key's rows
-    together — ``windows.running_total_per_key``, ``lag_per_key`` and
-    ``cohort_retention`` rely on it.
+    together — ``canonicalize``, ``diff`` and ``graph_metrics`` rely on
+    it.
     """
     import ray
 
@@ -513,43 +526,7 @@ def adaptive_join(
     right = right.materialize()
     size = right.size_bytes() or 0
     if how in ("inner", "left") and size <= broadcast_budget_bytes:
-        rkey = right_on or on
-        # match bucketed_join's collision contract: overlapping non-key
-        # right columns come out `_r`-suffixed on BOTH physical plans —
-        # pandas merge would otherwise suffix _x/_y, making the output
-        # schema depend on the right side's SIZE
-        if left_schema is not None:
-            lnames = set(left_schema.names)
-        else:
-            # non-forcing probe only: executing a lazy left upstream for
-            # its names costs a full extra pass (NOTES fact 22). Unknown
-            # names ⇒ skip collision detection (pre-fix behavior).
-            s = left.schema(fetch_if_missing=False)
-            lnames = set(s.names) if s is not None else set()
-        rnames = (right_schema or _arrow_schema(right)).names
-        if rkey != on and rkey in lnames:
-            # pandas merge would suffix BOTH key columns; the bucketed
-            # plan keeps the left's — take that plan instead of fixing up
-            return bucketed_join(
-                left, right, on=on, right_on=right_on, how=how,
-                left_schema=left_schema, right_schema=right_schema,
-            )
-        collide = {c: c + "_r" for c in rnames if c != rkey and c in lnames}
-        if collide:
-            right = right.map_batches(
-                lambda b, m=collide: b.rename_columns(
-                    [m.get(c, c) for c in b.column_names]),
-                batch_format="pyarrow",
-            ).materialize()
-        out = broadcast_join(left, right, on=on, right_on=rkey, how=how)
-        if rkey != on:
-            # the right key column is redundant with the left's and
-            # dropped, so both physical plans present one schema
-            out = out.map_batches(
-                lambda df: df.drop(columns=[rkey], errors="ignore"),
-                batch_format="pandas",
-            )
-        return out
+        return broadcast_join(left, right, on=on, right_on=right_on, how=how)
     return bucketed_join(
         left, right, on=on, right_on=right_on, how=how,
         left_schema=left_schema, right_schema=right_schema,

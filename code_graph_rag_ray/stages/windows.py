@@ -4,8 +4,11 @@ Ray Data has no event-time windows; per the reference's model (watch mode is
 incremental recompute, not stream processing — ``realtime_updater.py``), a
 "stream" here is an ordered, partitioned log: assign each event to a window
 in a stateless vectorized pass, then aggregate (two-phase) — tumbling
-windows need no cross-row state. Session windows sort within key groups
-(``groupby(key).map_groups`` over ts-sorted events).
+windows need no cross-row state. The ordered per-key operators (sessions,
+sliding/running sums, lag/lead, transitions, funnels) split each key's
+events into (key, time-chunk) groups and finish them one hash bucket at a
+time in Arrow (``relational.bucketed_groups`` / ``bucketed_cogroup``);
+cross-chunk state travels as per-chunk summaries.
 """
 
 from __future__ import annotations
@@ -14,9 +17,47 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray.data as rd
 from ray.data import Dataset
 
-from code_graph_rag_ray.stages.relational import partial_groupby_sum
+from code_graph_rag_ray.stages.relational import (
+    _join_pairs,
+    _runs,
+    bucketed_cogroup,
+    bucketed_groups,
+    bucketed_join,
+    partial_groupby_sum,
+    run_starts,
+)
+
+
+def _int64(col) -> np.ndarray:
+    """An integer column as an int64 numpy array. Nulls raise: numpy would
+    turn each into INT64_MIN without a word."""
+    if col.null_count:
+        raise ValueError(f"{col.null_count} null value(s) in an integer column "
+                         "of a chunked window op; drop or fill them first")
+    return np.asarray(col.to_numpy(zero_copy_only=False), np.int64)
+
+
+def _with_chunk(b: pa.Table, ts_col: str, chunk_s: int, cols: list[str]) -> pa.Table:
+    """``cols`` of ``b`` plus ``ts_us`` (int64 epoch µs, whatever the
+    timestamp resolution) and ``__chunk`` (``ts_us`` floor-divided by
+    ``chunk_s`` seconds)."""
+    ts_us = _int64(pc.cast(pc.cast(b[ts_col], pa.timestamp("us")), pa.int64()))
+    return pa.table({**{c: b[c] for c in cols},
+                     "ts_us": pa.array(ts_us, pa.int64()),
+                     "__chunk": pa.array(ts_us // (chunk_s * 1_000_000), pa.int64())})
+
+
+def _event_schema(id_col: str, key_col: str, value_col: str) -> pa.Schema:
+    """The int64 event columns a chunked carry op ships to its cogroup."""
+    return pa.schema([(c, pa.int64()) for c in (id_col, key_col, "ts_us", value_col)])
+
+
+def _run_ends(first: np.ndarray) -> np.ndarray:
+    """Last-of-run mask from a :func:`run_starts` first-of-run mask."""
+    return np.append(first[1:], True)[:len(first)]
 
 
 def tumbling_window_agg(
@@ -158,17 +199,17 @@ def session_windows_chunked(
     key_col: str = "user_id",
     gap_s: int = 1800,
     chunk_s: int = 86400,
-    num_buckets: int | None = None,
 ) -> Dataset:
     """Skew-safe sessionization, bit-identical to :func:`session_windows`.
 
     A whale key (one user carrying a large share of the events) makes the
-    per-key ``map_groups`` a single giant task. Standard two-phase split:
+    per-key ``map_groups`` a single giant task. Standard two-phase split,
+    each phase one :func:`bucketed_groups` pass finished in Arrow:
 
     1. sessionize within ``(key, time-chunk)`` groups — chunk = epoch-µs
        floor-divided by ``chunk_s`` (must be ≥ ``gap_s``), so the whale's
-       events spread over ``span/chunk_s`` tasks; local sessions are maximal
-       within their chunk and carry µs-precision bounds,
+       events spread over ``span/chunk_s`` groups; local sessions are
+       maximal within their chunk and carry µs-precision bounds,
     2. merge per key over the SESSION summaries (3 ints each — bounded by
        session count, not event count): sorted by start, a session whose
        start is within ``gap_s`` of the previous end continues it (only
@@ -181,94 +222,41 @@ def session_windows_chunked(
     """
     if chunk_s < gap_s:
         raise ValueError("chunk_s must be >= gap_s")
-
     gap_us = gap_s * 1_000_000
-    from code_graph_rag_ray.functions.hashing import partition_ids
 
-    if num_buckets is None:
-        try:
-            import ray
+    def sessions(t: pa.Table, groups: list[str], lo: str, hi: str):
+        # sorted by (groups, lo, hi): a session starts where the group
+        # changes or the gap to the previous row's hi exceeds gap_us
+        t = t.take(pc.sort_indices(
+            t, sort_keys=[(c, "ascending") for c in (*groups, lo, hi)]))
+        los, his = _int64(t[lo]), _int64(t[hi])
+        new = run_starts(t, groups)
+        new[1:] |= (los[1:] - his[:-1]) > gap_us
+        starts, lens, _ = _runs(new)
+        return t, los, his, starts, starts + lens - 1, lens
 
-            num_buckets = max(32, 2 * int(ray.cluster_resources().get("CPU", 16)))
-        except Exception:  # pragma: no cover
-            num_buckets = 32
+    def local_sessions(t: pa.Table) -> pa.Table:
+        t, ts, _, st, en, lens = sessions(t, [key_col, "__chunk"], "ts_us", "ts_us")
+        return pa.table({key_col: t[key_col].take(st),
+                         "start_us": pa.array(ts[st], pa.int64()),
+                         "end_us": pa.array(ts[en], pa.int64()),
+                         "n_events": pa.array(lens, pa.int64())})
 
-    # Both phases run as BUCKETED cogroups (one UDF call per hash bucket,
-    # vectorized over every group inside) instead of per-(key,chunk)
-    # map_groups: Ray's map_groups invokes the UDF once per GROUP, and at
-    # ~4k groups the per-call pandas overhead dominated the whole stage
-    # (measured 19 s → ~4 s on the sf0.01 events table).
+    def merge_sessions(t: pa.Table) -> pa.Table:
+        # local sessions never overlap (chunk-disjoint), so within a key
+        # the running max of end == the previous end in sorted order
+        t, los, his, st, en, _ = sessions(t, [key_col], "start_us", "end_us")
+        n = _int64(t["n_events"])
+        return pa.table({key_col: t[key_col].take(st),
+                         "session_start": pa.array(los[st] // 1_000_000, pa.int64()),
+                         "session_end": pa.array(his[en] // 1_000_000, pa.int64()),
+                         "n_events": pa.array(np.add.reduceat(n, st) if len(st)
+                                              else n, pa.int64())})
 
-    def assign_chunk(b: pa.Table) -> pa.Table:
-        ts_us = pc.cast(pc.cast(b[ts_col], pa.timestamp("us")), pa.int64())
-        chunk = pc.divide(ts_us, chunk_s * 1_000_000)
-        g = pc.binary_join_element_wise(
-            pc.cast(b[key_col], pa.string()), pc.cast(chunk, pa.string()), "|"
-        )
-        return pa.table(
-            {key_col: b[key_col], "__ts_us": ts_us, "__chunk": chunk,
-             "__b": pa.array(partition_ids(g, num_buckets))}
-        )
-
-    def local_sessions(g: pd.DataFrame) -> pd.DataFrame:
-        # whole bucket: many (key, chunk) groups, fully vectorized
-        g = g.sort_values([key_col, "__chunk", "__ts_us"], kind="mergesort")
-        ts = g["__ts_us"].to_numpy()
-        kv = g[key_col].to_numpy()
-        ch = g["__chunk"].to_numpy()
-        n = len(g)
-        new = np.ones(n, dtype=bool)
-        new[1:] = (
-            (kv[1:] != kv[:-1]) | (ch[1:] != ch[:-1])
-            | ((ts[1:] - ts[:-1]) > gap_us)
-        )
-        st = np.flatnonzero(new)
-        en = np.r_[st[1:], n] - 1
-        return pd.DataFrame(
-            {
-                key_col: kv[st],
-                "start_us": ts[st],
-                "end_us": ts[en],
-                "n_events": np.diff(np.r_[st, n]).astype(np.int64),
-            }
-        )
-
-    def add_key_bucket(b: pa.Table) -> pa.Table:
-        ids = partition_ids(pc.cast(b[key_col], pa.string()), num_buckets)
-        return b.append_column("__b2", pa.array(ids))
-
-    def merge_sessions(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([key_col, "start_us", "end_us"], kind="mergesort")
-        kv = g[key_col].to_numpy()
-        starts = g["start_us"].to_numpy()
-        ends = g["end_us"].to_numpy()
-        nn = g["n_events"].to_numpy()
-        # local sessions never overlap (chunk-disjoint), so within a key the
-        # running-max of end == previous end in sorted order
-        n = len(g)
-        new = np.ones(n, dtype=bool)
-        new[1:] = (kv[1:] != kv[:-1]) | ((starts[1:] - ends[:-1]) > gap_us)
-        st = np.flatnonzero(new)
-        en = np.r_[st[1:], n] - 1
-        return pd.DataFrame(
-            {
-                key_col: kv[st],
-                "session_start": starts[st] // 1_000_000,
-                "session_end": ends[en] // 1_000_000,
-                "n_events": np.add.reduceat(nn, st).astype(np.int64),
-            }
-        )
-
-    local = (
-        events.map_batches(assign_chunk, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(local_sessions, batch_format="pandas")
-    )
-    return (
-        local.map_batches(add_key_bucket, batch_format="pyarrow")
-        .groupby("__b2")
-        .map_groups(merge_sessions, batch_format="pandas")
-    )
+    assigned = events.map_batches(
+        lambda b: _with_chunk(b, ts_col, chunk_s, [key_col]), batch_format="pyarrow")
+    local = bucketed_groups(assigned, [key_col, "__chunk"], local_sessions)
+    return bucketed_groups(local, key_col, merge_sessions)
 
 
 def sliding_time_sum(
@@ -287,14 +275,14 @@ def sliding_time_sum(
     values, bit-exact vs ``sum(v) OVER (PARTITION BY key ORDER BY ts RANGE
     BETWEEN INTERVAL w PRECEDING AND CURRENT ROW)``).
 
-    Scale shape: ONE shuffle. Events are bucketed by time chunk
+    Scale shape: ONE :func:`bucketed_groups` shuffle by time chunk
     (``chunk_s ≥ window_s``, so a window spans at most the previous chunk);
     each row is also replicated as a context-only copy into the NEXT chunk
     iff its timestamp lies within ``window_s`` of the boundary (bounded ≤2×
-    replication, usually far less). Each chunk group then answers all its
-    real rows with a sorted prefix-sum + per-key searchsorted — vectorized,
-    no per-row Python. A whale key spreads across time chunks, unlike a
-    groupby(key) formulation.
+    replication, usually far less). Each bucket then answers the real rows
+    of all its chunks with a sorted prefix-sum + per-(chunk, key)
+    searchsorted — no per-row Python. A whale key spreads across time
+    chunks, unlike a groupby(key) formulation.
     """
     if chunk_s is None:
         chunk_s = window_s
@@ -304,68 +292,39 @@ def sliding_time_sum(
     c_us = chunk_s * 1_000_000
 
     def assign_chunk(b: pa.Table) -> pa.Table:
-        epoch_us = pc.cast(pc.cast(b[ts_col], pa.timestamp("us")), pa.int64()).to_numpy(
-            zero_copy_only=False
-        )
-        chunk = epoch_us // c_us
-        base = pa.table(
-            {
-                "__chunk": pa.array(chunk, pa.int64()),
-                "__real": pa.array(np.ones(len(chunk), np.int8)),
-                id_col: b[id_col],
-                key_col: b[key_col],
-                "ts_us": pa.array(epoch_us, pa.int64()),
-                value_col: b[value_col],
-            }
-        )
+        base = _with_chunk(b, ts_col, chunk_s, [id_col, key_col, value_col])
         # context copy into the next chunk, only for rows near the boundary
-        need = epoch_us >= (chunk + 1) * c_us - w_us
-        sel = pa.array(need)
-        ctx = base.filter(sel)
-        ctx = ctx.set_column(0, "__chunk", pc.add(ctx["__chunk"], 1))
-        ctx = ctx.set_column(
-            1, "__real", pa.array(np.zeros(ctx.num_rows, np.int8))
-        )
-        return pa.concat_tables([base, ctx])
+        ts, chunk = _int64(base["ts_us"]), _int64(base["__chunk"])
+        ctx = base.filter(pa.array(ts >= (chunk + 1) * c_us - w_us))
+        ctx = ctx.set_column(ctx.schema.get_field_index("__chunk"), "__chunk",
+                             pc.add(ctx["__chunk"], 1))
+        return pa.concat_tables([
+            base.append_column("__real", pa.array(np.ones(base.num_rows, bool))),
+            ctx.append_column("__real", pa.array(np.zeros(ctx.num_rows, bool))),
+        ])
 
-    def answer(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([key_col, "ts_us"], kind="mergesort").reset_index(drop=True)
-        keys = g[key_col].to_numpy()
-        ts = g["ts_us"].to_numpy(np.int64)
-        vals = g[value_col].to_numpy(np.int64)
-        csum = np.concatenate([[0], np.cumsum(vals)])
-        n = len(g)
-        out_rows = g["__real"].to_numpy() == 1
-        # window [ts-w, ts]: left = first idx in the key segment with
-        # ts >= ts_i - w; right = last idx with ts <= ts_i (peers included)
-        lo = np.empty(n, np.int64)
-        hi = np.empty(n, np.int64)
-        new_key = np.ones(n, bool)
-        new_key[1:] = keys[1:] != keys[:-1]
-        starts = np.flatnonzero(new_key)
-        ends = np.append(starts[1:], n)
-        for s, e in zip(starts, ends):
-            seg_ts = ts[s:e]
-            lo[s:e] = s + np.searchsorted(seg_ts, seg_ts - w_us, side="left")
-            hi[s:e] = s + np.searchsorted(seg_ts, seg_ts, side="right")
-        w_sum = csum[hi] - csum[lo]
-        w_n = hi - lo
-        out = pd.DataFrame(
-            {
-                id_col: g[id_col],
-                key_col: g[key_col],
-                "ts_us": g["ts_us"],
-                "w_sum": w_sum,
-                "w_n": w_n.astype(np.int64),
-            }
-        )
-        return out[out_rows].reset_index(drop=True)
+    def answer(t: pa.Table) -> pa.Table:
+        t = t.take(pc.sort_indices(t, sort_keys=[
+            ("__chunk", "ascending"), (key_col, "ascending"), ("ts_us", "ascending")]))
+        ts = _int64(t["ts_us"])
+        csum = np.concatenate([[0], np.cumsum(_int64(t[value_col]))])
+        # window [ts-w, ts]: lo = first row of the (chunk, key) segment
+        # with ts >= ts_i - w; hi = past the last row with ts <= ts_i
+        # (peers included)
+        lo = np.empty(len(ts), np.int64)
+        hi = np.empty(len(ts), np.int64)
+        starts, lens, _ = _runs(run_starts(t, ["__chunk", key_col]))
+        for s, e in zip(starts, starts + lens):
+            seg = ts[s:e]
+            lo[s:e] = s + np.searchsorted(seg, seg - w_us, side="left")
+            hi[s:e] = s + np.searchsorted(seg, seg, side="right")
+        out = pa.table({id_col: t[id_col], key_col: t[key_col], "ts_us": t["ts_us"],
+                        "w_sum": pa.array(csum[hi] - csum[lo], pa.int64()),
+                        "w_n": pa.array(hi - lo, pa.int64())})
+        return out.filter(t["__real"])
 
-    return (
-        events.map_batches(assign_chunk, batch_format="pyarrow")
-        .groupby("__chunk")
-        .map_groups(answer, batch_format="pandas")
-    )
+    return bucketed_groups(
+        events.map_batches(assign_chunk, batch_format="pyarrow"), "__chunk", answer)
 
 
 def running_total_per_key(
@@ -386,107 +345,57 @@ def running_total_per_key(
     The unbounded-frame companion of :func:`sliding_time_sum`. An
     unbounded window cannot use bounded context replication, so the carry
     crosses time chunks as SUMMARIES instead (the asof-join carry
-    discipline): one grouped sum builds per-(key, chunk) totals (rows =
-    keys × chunks, never event-scale); a per-key exclusive prefix over
-    those totals gives each chunk its carry-in offset; one bucketed join
-    hands offsets back to the event rows; the local RANGE prefix is then
-    computed INSIDE the join's bucket blocks (hash(key|chunk) cogroups
-    arrive whole, so a ``batch_size=None`` map segments and cumsums
-    vectorized — no second event-scale shuffle). A whale key spreads over
-    its time chunks end to end.
+    discipline): batch-local per-(key, chunk) partial sums meet in one
+    :func:`bucketed_groups` pass by key, which totals each chunk and gives
+    it its carry-in offset (the exclusive prefix over the key's earlier
+    chunks; rows = keys × chunks, never event-scale); one
+    :func:`bucketed_cogroup` of events and offsets by (key, chunk) then
+    computes the local RANGE prefix per bucket and adds the offset. A
+    whale key spreads over its time chunks end to end.
     """
-    from code_graph_rag_ray.stages.relational import bucketed_join, partial_groupby_sum
+    kc = [key_col, "__chunk"]
 
-    c_us = chunk_s * 1_000_000
+    def totals(t: pa.Table, col: str) -> pa.Table:
+        g = pa.TableGroupBy(t, kc, use_threads=False).aggregate([(col, "sum")])
+        return pa.table({key_col: g[key_col], "__chunk": g["__chunk"],
+                         "__tot": g[f"{col}_sum"]})
 
-    def assign_chunk(b: pa.Table) -> pa.Table:
-        epoch_us = pc.cast(pc.cast(b[ts_col], pa.timestamp("us")), pa.int64()).to_numpy(
-            zero_copy_only=False
-        )
-        chunk = np.floor_divide(epoch_us, c_us)
-        kc = pc.binary_join_element_wise(
-            pc.cast(b[key_col], pa.string()),
-            pa.array(chunk.astype("U"), pa.string()),
-            "|",
-        )
-        return pa.table(
-            {
-                id_col: b[id_col],
-                key_col: b[key_col],
-                "__chunk": pa.array(chunk, pa.int64()),
-                "__kc": kc,
-                "ts_us": pa.array(epoch_us, pa.int64()),
-                value_col: b[value_col],
-            }
-        )
+    def offsets(t: pa.Table) -> pa.Table:
+        t = totals(t, "__tot")
+        t = t.take(pc.sort_indices(t, sort_keys=[(c, "ascending") for c in kc]))
+        tot = _int64(t["__tot"])
+        cs = np.cumsum(tot) - tot
+        starts, lens, _ = _runs(run_starts(t, [key_col]))
+        return pa.table({key_col: t[key_col], "__chunk": t["__chunk"],
+                         "__off": pa.array(cs - np.repeat(cs[starts], lens), pa.int64())})
 
-    assigned = events.map_batches(assign_chunk, batch_format="pyarrow")
-
-    totals = partial_groupby_sum(
-        assigned.select_columns([key_col, "__chunk", value_col]),
-        [key_col, "__chunk"],
-        {value_col: "__tot"},
-    )
-
-    def offsets_per_key(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("__chunk", kind="mergesort").reset_index(drop=True)
-        tot = g["__tot"].to_numpy(np.int64)
-        off = np.cumsum(tot) - tot  # exclusive prefix: carry-in per chunk
-        return pd.DataFrame(
-            {
-                "__kc": g[key_col].astype(str) + "|" + g["__chunk"].astype(str),
-                "__off": off.astype(np.int64),
-            }
-        )
-
-    offsets = totals.groupby(key_col).map_groups(offsets_per_key, batch_format="pandas")
-
-    joined = bucketed_join(
-        assigned, offsets, on="__kc",
-        left_schema=pa.schema(
-            [(id_col, pa.int64()), (key_col, pa.int64()), ("__chunk", pa.int64()),
-             ("__kc", pa.string()), ("ts_us", pa.int64()), (value_col, pa.int64())]
-        ),
-        right_schema=pa.schema([("__kc", pa.string()), ("__off", pa.int64())]),
-    )
-
-    def local_prefix(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame(
-                {id_col: pd.Series([], dtype="int64"),
-                 key_col: pd.Series([], dtype="int64"),
-                 "ts_us": pd.Series([], dtype="int64"),
-                 value_col: pd.Series([], dtype="int64"),
-                 "run": pd.Series([], dtype="int64")}
-            )
-        g = g.sort_values(["__kc", "ts_us"], kind="mergesort").reset_index(drop=True)
-        kc = g["__kc"].to_numpy()
-        ts = g["ts_us"].to_numpy(np.int64)
-        v = g[value_col].to_numpy(np.int64)
-        n = len(g)
+    def local_prefix(ev: pa.Table, off: pa.Table) -> pa.Table:
+        li, ri = _join_pairs(ev["__key"], off["__key"], "left")
+        t = ev.take(li).append_column("__off", off["__off"].take(ri))
+        t = t.take(pc.sort_indices(
+            t, sort_keys=[("__key", "ascending"), ("ts_us", "ascending")]))
+        v = _int64(t[value_col])
         cs = np.cumsum(v)
-        # segment starts (per key|chunk group inside this bucket block)
-        new_seg = np.ones(n, bool)
-        new_seg[1:] = kc[1:] != kc[:-1]
-        starts = np.flatnonzero(new_seg)
-        lens = np.diff(np.r_[starts, n])
-        seg_base = np.repeat(np.r_[0, cs[starts[1:] - 1]], lens)
+        starts, lens, _ = _runs(run_starts(t, ["__key"]))
         # RANGE peers: every row takes the cumsum at the LAST row of its
         # (segment, ts) run
-        last = np.ones(n, bool)
-        last[:-1] = (ts[1:] != ts[:-1]) | new_seg[1:]
-        ends = np.flatnonzero(last)
-        run_lens = np.diff(np.r_[-1, ends])
-        local_run = np.repeat(cs[ends], run_lens) - seg_base
-        return pd.DataFrame(
-            {id_col: g[id_col].to_numpy(np.int64),
-             key_col: g[key_col].to_numpy(np.int64),
-             "ts_us": ts,
-             value_col: v,
-             "run": (local_run + g["__off"].to_numpy(np.int64)).astype(np.int64)}
-        )
+        pst, plen, _ = _runs(run_starts(t, ["__key", "ts_us"]))
+        run = (np.repeat(cs[pst + plen - 1], plen)
+               - np.repeat(cs[starts] - v[starts], lens)
+               + _int64(pc.fill_null(t["__off"], 0)))
+        return pa.table({id_col: t[id_col], key_col: t[key_col], "ts_us": t["ts_us"],
+                         value_col: t[value_col], "run": pa.array(run, pa.int64())})
 
-    return joined.map_batches(local_prefix, batch_format="pandas", batch_size=None)
+    assigned = events.map_batches(
+        lambda b: _with_chunk(b, ts_col, chunk_s, [id_col, key_col, value_col]),
+        batch_format="pyarrow")
+    offs = bucketed_groups(
+        assigned.map_batches(lambda t: totals(t, value_col), batch_format="pyarrow"),
+        key_col, offsets)
+    return bucketed_cogroup([
+        (assigned, kc, _event_schema(id_col, key_col, value_col), True),
+        (offs, kc, pa.schema([("__off", pa.int64())]), True),
+    ], local_prefix)
 
 
 def lag_per_key(
@@ -506,153 +415,70 @@ def lag_per_key(
     key's first row (sentinel, dtype-stable like events_attribution).
 
     Chunked like :func:`running_total_per_key`, but the cross-chunk state
-    is one BOUNDARY ROW per (key, chunk): a two-phase pick keeps each
-    chunk's last (ts, id) row (batch-local pick first, so the exchange is
-    O(keys × chunks)); a per-key pass over those summaries assigns each
-    chunk its predecessor's boundary row; one bucketed join hands the
-    carry back; the local lag then runs inside the join's bucket blocks.
-    A whale key spreads over its time chunks end to end.
+    is one BOUNDARY ROW per (key, chunk). Each batch keeps its (key,
+    chunk)s' last (ts, id) rows, so the exchange is O(keys × chunks); one
+    :func:`bucketed_groups` pass by key picks each chunk's last row among
+    them and hands its value to the key's next nonempty chunk; one
+    :func:`bucketed_cogroup` of events and carries by (key, chunk) gathers
+    the carry (``-1`` where there is none) and runs the local lag. A whale
+    key spreads over its time chunks end to end.
 
     ``direction="lead"`` flips every step (first boundary row per chunk,
-    carry from the NEXT chunk, next-value local fold; output column
-    ``next``) — SQL ``lead()`` under the same deterministic order.
+    carry from the NEXT nonempty chunk, next-value local fold; output
+    column ``next``) — SQL ``lead()`` under the same deterministic order.
     """
     assert direction in ("lag", "lead")
     lead = direction == "lead"
     out_name = "next" if lead else "prev"
-    from code_graph_rag_ray.stages.relational import bucketed_join
+    kc = [key_col, "__chunk"]
+    order = [(c, "ascending") for c in (key_col, "__chunk", "ts_us", id_col)]
 
-    c_us = chunk_s * 1_000_000
+    def boundary_rows(t: pa.Table) -> pa.Table:
+        # each (key, chunk)'s last (ts, id) row — its first for lead
+        t = t.select([key_col, "__chunk", "ts_us", id_col, value_col])
+        t = t.take(pc.sort_indices(t, sort_keys=order))
+        first = run_starts(t, kc)
+        return t.filter(pa.array(first if lead else _run_ends(first)))
 
-    def assign_chunk(b: pa.Table) -> pa.Table:
-        epoch_us = pc.cast(pc.cast(b[ts_col], pa.timestamp("us")), pa.int64()).to_numpy(
-            zero_copy_only=False
-        )
-        chunk = np.floor_divide(epoch_us, c_us)
-        kc = pc.binary_join_element_wise(
-            pc.cast(b[key_col], pa.string()),
-            pa.array(chunk.astype("U"), pa.string()),
-            "|",
-        )
-        return pa.table(
-            {
-                id_col: b[id_col],
-                key_col: b[key_col],
-                "__chunk": pa.array(chunk, pa.int64()),
-                "__kc": kc,
-                "ts_us": pa.array(epoch_us, pa.int64()),
-                value_col: b[value_col],
-            }
-        )
+    def carries(t: pa.Table) -> pa.Table:
+        # a key's chunk boundary rows in chunk order: each chunk receives
+        # its predecessor's value (its successor's for lead)
+        b = boundary_rows(t)
+        i = np.flatnonzero(~run_starts(b, [key_col])[1:])  # row i+1 same key
+        dst, src = (i, i + 1) if lead else (i + 1, i)
+        return pa.table({key_col: b[key_col].take(dst),
+                         "__chunk": b["__chunk"].take(dst),
+                         "__cv": b[value_col].take(src)})
 
-    assigned = events.map_batches(assign_chunk, batch_format="pyarrow")
-
-    def local_last(b: pa.Table) -> pa.Table:
-        # batch-local: keep each (key, chunk)'s max-(ts, id) row
-        if b.num_rows == 0:
-            return pa.table(
-                {key_col: pa.array([], pa.int64()),
-                 "__chunk": pa.array([], pa.int64()),
-                 "__ord": pa.array([], pa.int64()),
-                 "__id": pa.array([], pa.int64()),
-                 "__bv": pa.array([], pa.int64())}
-            )
-        idx = pc.sort_indices(
-            b, sort_keys=[(key_col, "ascending"), ("__chunk", "ascending"),
-                          ("ts_us", "ascending"), (id_col, "ascending")]
-        )
-        s = b.take(idx)
-        keys = s[key_col].to_numpy(zero_copy_only=False)
-        chunks = s["__chunk"].to_numpy(zero_copy_only=False)
-        sel = np.ones(s.num_rows, bool)
-        if lead:  # FIRST (min ts, id) row of each (key, chunk) run
-            sel[1:] = (keys[1:] != keys[:-1]) | (chunks[1:] != chunks[:-1])
-        else:  # LAST row of each run
-            sel[:-1] = (keys[1:] != keys[:-1]) | (chunks[1:] != chunks[:-1])
-        f = s.filter(pa.array(sel))
-        return pa.table(
-            {key_col: f[key_col], "__chunk": f["__chunk"],
-             "__ord": f["ts_us"], "__id": f[id_col], "__bv": f[value_col]}
-        )
-
-    partial_last = assigned.map_batches(local_last, batch_format="pyarrow")
-
-    def pick_last(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["__ord", "__id"], kind="mergesort")
-        return g.head(1) if lead else g.tail(1)
-
-    bounds = partial_last.groupby([key_col, "__chunk"]).map_groups(
-        pick_last, batch_format="pandas"
-    )
-
-    def carries_per_key(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("__chunk", kind="mergesort").reset_index(drop=True)
-        if len(g) < 2:
-            return pd.DataFrame({"__kc": pd.Series([], dtype="object"),
-                                 "__cts": pd.Series([], dtype="int64"),
-                                 "__cid": pd.Series([], dtype="int64"),
-                                 "__cv": pd.Series([], dtype="int64")})
-        # chunk i receives its predecessor's boundary row (successor's
-        # for lead)
-        kc_all = g[key_col].astype(str) + "|" + g["__chunk"].astype(str)
-        kc_side = kc_all.iloc[:-1] if lead else kc_all.iloc[1:]
-        val_slice = slice(1, None) if lead else slice(None, -1)
-        return pd.DataFrame(
-            {"__kc": kc_side.to_numpy(),
-             "__cts": g["__ord"].iloc[val_slice].to_numpy(np.int64),
-             "__cid": g["__id"].iloc[val_slice].to_numpy(np.int64),
-             "__cv": g["__bv"].iloc[val_slice].to_numpy(np.int64)}
-        )
-
-    carries = bounds.groupby(key_col).map_groups(carries_per_key, batch_format="pandas")
-
-    joined = bucketed_join(
-        assigned, carries, on="__kc", how="left",
-        left_schema=pa.schema(
-            [(id_col, pa.int64()), (key_col, pa.int64()), ("__chunk", pa.int64()),
-             ("__kc", pa.string()), ("ts_us", pa.int64()), (value_col, pa.int64())]
-        ),
-        right_schema=pa.schema(
-            [("__kc", pa.string()), ("__cts", pa.int64()),
-             ("__cid", pa.int64()), ("__cv", pa.int64())]
-        ),
-    )
-
-    def local_lag(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame(
-                {id_col: pd.Series([], dtype="int64"),
-                 key_col: pd.Series([], dtype="int64"),
-                 "ts_us": pd.Series([], dtype="int64"),
-                 value_col: pd.Series([], dtype="int64"),
-                 out_name: pd.Series([], dtype="int64")}
-            )
-        g = g.sort_values(["__kc", "ts_us", id_col], kind="mergesort").reset_index(drop=True)
-        kc = g["__kc"].to_numpy()
-        v = g[value_col].to_numpy(np.int64)
-        nbr = np.empty(len(g), np.int64)
-        edge = np.ones(len(g), bool)  # rows that take the carry
+    def local_lag(ev: pa.Table, car: pa.Table) -> pa.Table:
+        li, ri = _join_pairs(ev["__key"], car["__key"], "left")
+        t = ev.take(li).append_column("__cv", car["__cv"].take(ri))
+        t = t.take(pc.sort_indices(t, sort_keys=[
+            ("__key", "ascending"), ("ts_us", "ascending"), (id_col, "ascending")]))
+        v = _int64(t[value_col])
+        nbr = np.empty(len(v), np.int64)
+        first = run_starts(t, ["__key"])
         if lead:
             nbr[:-1] = v[1:]
-            edge[:-1] = kc[1:] != kc[:-1]  # last row of each segment
+            edge = _run_ends(first)  # last row of each segment
         else:
             nbr[1:] = v[:-1]
-            edge[1:] = kc[1:] != kc[:-1]   # first row of each segment
-            edge[0] = True
-        # carry (__cv) is per-__kc constant; -1 when absent (key edge)
-        cv = g["__cv"].to_numpy()
-        carry = np.where(np.isnan(cv.astype(np.float64)), -1,
-                         np.nan_to_num(cv.astype(np.float64))).astype(np.int64)
-        nbr[edge] = carry[edge]
-        return pd.DataFrame(
-            {id_col: g[id_col].to_numpy(np.int64),
-             key_col: g[key_col].to_numpy(np.int64),
-             "ts_us": g["ts_us"].to_numpy(np.int64),
-             value_col: v,
-             out_name: nbr}
-        )
+            edge = first
+        # the segment edge takes the carry; -1 where the key has none
+        carry = _int64(pc.fill_null(t["__cv"], -1))
+        return pa.table({id_col: t[id_col], key_col: t[key_col], "ts_us": t["ts_us"],
+                         value_col: t[value_col],
+                         out_name: pa.array(np.where(edge, carry, nbr), pa.int64())})
 
-    return joined.map_batches(local_lag, batch_format="pandas", batch_size=None)
+    assigned = events.map_batches(
+        lambda b: _with_chunk(b, ts_col, chunk_s, [id_col, key_col, value_col]),
+        batch_format="pyarrow")
+    cars = bucketed_groups(assigned.map_batches(boundary_rows, batch_format="pyarrow"),
+                           key_col, carries)
+    return bucketed_cogroup([
+        (assigned, kc, _event_schema(id_col, key_col, value_col), False),
+        (cars, kc, pa.schema([("__cv", pa.int64())]), True),
+    ], local_lag)
 
 
 def entity_timeline(
@@ -748,8 +574,6 @@ def cohort_retention(
     """
     from ray.data.aggregate import Min
 
-    from code_graph_rag_ray.stages.relational import bucketed_join, partial_groupby_sum
-
     win_us = int(window_s) * 1_000_000
 
     def pairs(b: pa.Table) -> pa.Table:
@@ -790,23 +614,22 @@ def transition_counts(
     type_col: str = "event_type",
     count_alias: str = "n_transitions",
     chunk_s: int = 86400,
-    num_buckets: int | None = None,
 ) -> Dataset:
     """Per-key Markov transition matrix: counts of (previous type → type)
     over each key's event sequence under ``ORDER BY ts, id`` (SQL
     ``lag(type) OVER (PARTITION BY key ORDER BY ts, id)`` → group count).
 
     Bigram counting doesn't need a per-event LAG: counting commutes with
-    chunking, so ONE (key, time-chunk)-bucketed exchange co-locates each
-    key-chunk's events, a vectorized in-group pass emits the chunk-local
-    (prev, next) counts PLUS one boundary row per (key, chunk) — its
-    first and last type under the deterministic (ts, id) order — and a
-    second, O(keys × chunks)-sized pass stitches consecutive nonempty
-    chunks of the same key into the cross-chunk transitions. Counts fold
-    through the two-phase grouped sum. Compare :func:`lag_per_key`
-    (which this replaced here): that design hands a carry row back to
-    every event via a bucketed join — a second O(events) exchange this
-    query never needs (measured 19 s → ~4 s at sf0.1, 32 cpus).
+    chunking, so ONE (key, time-chunk) :func:`bucketed_groups` exchange
+    co-locates each key-chunk's events, a vectorized Arrow pass per bucket
+    emits the chunk-local (prev, next) counts PLUS one boundary row per
+    (key, chunk) — its first and last type under the deterministic (ts,
+    id) order — and a second, O(keys × chunks)-sized pass by key stitches
+    consecutive nonempty chunks of the same key into the cross-chunk
+    transitions. Counts fold through the two-phase grouped sum. Compare
+    :func:`lag_per_key`: that design hands a carry row back to every event
+    via a cogroup — a second O(events) exchange this query never needs
+    (measured 19 s → ~4 s at sf0.1, 32 cpus).
 
     A whale key spreads over its time chunks end to end (same
     ``chunk_s`` contract as the other chunked window ops). NULL types
@@ -819,123 +642,64 @@ def transition_counts(
     call list); re-targeted as the event-stream bigram/transition counts
     a session-modeling pipeline needs.
     """
-    from code_graph_rag_ray.functions.hashing import partition_ids
 
-    if num_buckets is None:
-        try:
-            import ray
-
-            num_buckets = 2 * int(ray.cluster_resources().get("CPU", 16))
-        except Exception:  # pragma: no cover
-            num_buckets = 32
-    c_us = chunk_s * 1_000_000
+    def pair_counts(prev, nxt) -> pa.Table:
+        g = pa.TableGroupBy(pa.table({"prev_type": prev, "next_type": nxt}),
+                            ["prev_type", "next_type"], use_threads=False)
+        g = g.aggregate([([], "count_all")])
+        return pa.table({"prev_type": g["prev_type"], "next_type": g["next_type"],
+                         "n": g["count_all"]})
 
     def prep(b: pa.Table) -> pa.Table:
         f = b.filter(pc.is_valid(b[type_col]))
-        epoch_us = pc.cast(
-            pc.cast(f[ts_col], pa.timestamp("us")), pa.int64()
-        ).to_numpy(zero_copy_only=False)
-        chunk = np.floor_divide(epoch_us, c_us)
-        kc = pc.binary_join_element_wise(
-            pc.cast(f[key_col], pa.string()),
-            pa.array(chunk.astype("U"), pa.string()), "|",
-        )
-        return pa.table(
-            {key_col: pc.cast(f[key_col], pa.string()),
-             "__chunk": pa.array(chunk, pa.int64()),
-             "ts_us": pa.array(epoch_us, pa.int64()),
-             id_col: f[id_col], type_col: f[type_col],
-             "__bk": pa.array(partition_ids(kc, num_buckets), pa.int32())}
-        )
+        return _with_chunk(f, ts_col, chunk_s, [key_col, id_col, type_col])
 
-    def local_bigrams(g: pd.DataFrame) -> pd.DataFrame:
-        # one frame, two row kinds (a mixed-type union would fail at
-        # execution, NOTES facts 14/23): kind "c" = chunk-local counts,
-        # kind "b" = per-(key, chunk) boundary first/last types
-        g = g.sort_values([key_col, "__chunk", "ts_us", id_col],
-                          kind="mergesort")
-        k = g[key_col].to_numpy()
-        c = g["__chunk"].to_numpy()
-        t = g[type_col].to_numpy()
-        same = np.zeros(0, bool)
-        if len(g) > 1:
-            same = (k[1:] == k[:-1]) & (c[1:] == c[:-1])
-        cnt = pd.DataFrame({"prev_type": t[:-1][same],
-                            "next_type": t[1:][same]})
-        cnt = cnt.groupby(["prev_type", "next_type"], as_index=False).agg(
-            n=("prev_type", "size"))
-        starts = np.ones(len(g), bool)
-        ends = np.ones(len(g), bool)
-        if len(g) > 1:
-            starts[1:] = ~same
-            ends[:-1] = ~same
-        bnd = pd.DataFrame(
-            {key_col: k[starts], "__chunk": c[starts],
-             "first_type": t[starts], "last_type": t[ends]}
-        )
-        return pd.concat([
-            pd.DataFrame(
-                {"kind": "c", "prev_type": cnt["prev_type"],
-                 "next_type": cnt["next_type"],
-                 "n": cnt["n"].astype(np.int64),
-                 key_col: None, "__chunk": np.int64(0),
-                 "first_type": None, "last_type": None}),
-            pd.DataFrame(
-                {"kind": "b", "prev_type": None, "next_type": None,
-                 "n": np.int64(0), key_col: bnd[key_col],
-                 "__chunk": bnd["__chunk"], "first_type": bnd["first_type"],
-                 "last_type": bnd["last_type"]}),
-        ], ignore_index=True)
+    def local_bigrams(t: pa.Table) -> pa.Table:
+        # one table, two row kinds with typed nulls (a union of differently
+        # typed blocks fails at execution, NOTES facts 14/23): rows with
+        # ``n`` are chunk-local counts, rows without are the per-(key,
+        # chunk) boundary first/last types
+        t = t.take(pc.sort_indices(t, sort_keys=[
+            (c, "ascending") for c in (key_col, "__chunk", "ts_us", id_col)]))
+        first = run_starts(t, [key_col, "__chunk"])
+        typ = t[type_col]
+        i = np.flatnonzero(~first[1:])  # row i+1 follows row i in its chunk
+        cnt = pair_counts(typ.take(i), typ.take(i + 1))
+        st, en = np.flatnonzero(first), np.flatnonzero(_run_ends(first))
+        nc, nb, tt = cnt.num_rows, len(st), typ.type
+        return pa.concat_tables([
+            cnt.append_column(key_col, pa.nulls(nc, t[key_col].type))
+               .append_column("__chunk", pa.nulls(nc, pa.int64()))
+               .append_column("first_type", pa.nulls(nc, tt))
+               .append_column("last_type", pa.nulls(nc, tt)),
+            pa.table({"prev_type": pa.nulls(nb, tt), "next_type": pa.nulls(nb, tt),
+                      "n": pa.nulls(nb, pa.int64()), key_col: t[key_col].take(st),
+                      "__chunk": t["__chunk"].take(st),
+                      "first_type": typ.take(st), "last_type": typ.take(en)}),
+        ])
+
+    def stitch(t: pa.Table) -> pa.Table:
+        # consecutive NONEMPTY chunks of a key: last(type) → first(type)
+        t = t.take(pc.sort_indices(
+            t, sort_keys=[(key_col, "ascending"), ("__chunk", "ascending")]))
+        i = np.flatnonzero(~run_starts(t, [key_col])[1:])
+        return pair_counts(t["last_type"].take(i), t["first_type"].take(i + 1))
 
     # the ONLY O(events) exchange; its output is O(buckets × T² +
     # keys × chunks) — small — so materializing lets the two consumers
     # below split it without re-running the shuffle
-    mixed = (
-        events.map_batches(prep, batch_format="pyarrow")
-        .groupby("__bk")
-        .map_groups(local_bigrams, batch_format="pandas")
-        .materialize()
-    )
-
+    mixed = bucketed_groups(events.map_batches(prep, batch_format="pyarrow"),
+                            [key_col, "__chunk"], local_bigrams).materialize()
     local_cnt = mixed.map_batches(
-        lambda df: df.loc[df["kind"] == "c",
-                          ["prev_type", "next_type", "n"]],
-        batch_format="pandas",
-    )
-
-    def stitch(df: pd.DataFrame) -> pd.DataFrame:
-        # consecutive NONEMPTY chunks of a key: last(type) → first(type)
-        df = df.sort_values([key_col, "__chunk"], kind="mergesort")
-        k = df[key_col].to_numpy()
-        if len(df) < 2:
-            return pd.DataFrame(
-                {"prev_type": pd.Series([], dtype=object),
-                 "next_type": pd.Series([], dtype=object),
-                 "n": pd.Series([], dtype=np.int64)})
-        same = k[1:] == k[:-1]
-        cnt = pd.DataFrame(
-            {"prev_type": df["last_type"].to_numpy()[:-1][same],
-             "next_type": df["first_type"].to_numpy()[1:][same]})
-        return cnt.groupby(["prev_type", "next_type"], as_index=False).agg(
-            n=("prev_type", "size")).astype({"n": np.int64})
-
-    cross_cnt = (
-        mixed.map_batches(
-            lambda df: df.loc[df["kind"] == "b",
-                              [key_col, "__chunk", "first_type",
-                               "last_type"]].assign(
-                __kb=lambda d: pd.util.hash_array(
-                    d[key_col].to_numpy(dtype=object)
-                ).astype(np.int64) % 32),
-            batch_format="pandas",
-        )
-        .groupby("__kb")
-        .map_groups(stitch, batch_format="pandas")
-    )
-
+        lambda t: t.filter(pc.is_valid(t["n"])).select(["prev_type", "next_type", "n"]),
+        batch_format="pyarrow")
+    bounds = mixed.map_batches(
+        lambda t: t.filter(pc.is_null(t["n"])).select(
+            [key_col, "__chunk", "first_type", "last_type"]),
+        batch_format="pyarrow")
     return partial_groupby_sum(
-        local_cnt.union(cross_cnt), ["prev_type", "next_type"],
-        {"n": count_alias},
+        local_cnt.union(bucketed_groups(bounds, key_col, stitch)),
+        ["prev_type", "next_type"], {"n": count_alias},
     )
 
 
@@ -946,7 +710,6 @@ def strict_funnel(
     key_col: str = "user_id",
     ts_col: str = "ts",
     type_col: str = "event_type",
-    num_buckets: int = 64,
 ) -> Dataset:
     """Strict-order funnel: how many keys performed step 1, then step 2
     STRICTLY after their first step 1, then step 3 strictly after that
@@ -955,58 +718,42 @@ def strict_funnel(
     ``<i>_<type>`` so the output orders by funnel position.
 
     Scale shape: rows not in the step set are dropped at the scan; ONE
-    key-hash bucket shuffle (64-ish groups — never a per-key group, NOTES
-    fact 25); inside each bucket the chained first-occurrence times are
-    pure vectorized pandas groupby-mins + merges; per-bucket partial
-    counts fold through the two-phase grouped sum.
+    :func:`bucketed_groups` shuffle by key (never a per-key group, NOTES
+    fact 25); inside each bucket every step is an Arrow grouped min of
+    the step's rows that match (``_join_pairs``) and follow the previous
+    step's first time; per-bucket partial counts fold through the
+    two-phase grouped sum.
     """
-    from code_graph_rag_ray.functions.hashing import partition_ids
-    from code_graph_rag_ray.stages.relational import partial_groupby_sum
-
     step_set = pa.array(steps, pa.string())
+    labels = pa.array([f"{i + 1}_{st}" for i, st in enumerate(steps)], pa.string())
 
-    def prep(b: pa.Table) -> pa.Table:
-        f = b.filter(pc.is_in(b[type_col], value_set=step_set))
-        bk = partition_ids(pc.cast(f[key_col], pa.string()), num_buckets)
-        return pa.table(
-            {key_col: f[key_col], ts_col: f[ts_col], type_col: f[type_col],
-             "__bk": pa.array(bk, pa.int32())}
-        )
-
-    def funnel(g: pd.DataFrame) -> pd.DataFrame:
+    def funnel(t: pa.Table) -> pa.Table:
         cur = None  # per-key time of the previous step's first occurrence
-        out_steps, out_n = [], []
-        for i, st in enumerate(steps):
-            rows = g[g[type_col] == st]
+        n = []
+        for st in steps:
+            rows = t.filter(pc.equal(t[type_col], st))
             if cur is not None:
-                rows = rows.merge(cur, on=key_col)
-                rows = rows[rows[ts_col] > rows["__prev"]]
-            first = rows.groupby(key_col, as_index=False)[ts_col].min()
-            out_steps.append(f"{i + 1}_{st}")
-            out_n.append(len(first))
-            cur = first.rename(columns={ts_col: "__prev"})
-        return pd.DataFrame(
-            {"step": out_steps, "n_p": np.asarray(out_n, np.int64)}
-        )
+                li, ri = _join_pairs(rows[key_col], cur[key_col], "inner")
+                rows = rows.take(li)
+                rows = rows.filter(pc.greater(rows[ts_col], cur["__prev"].take(ri)))
+            first = pa.TableGroupBy(rows, key_col, use_threads=False).aggregate(
+                [(ts_col, "min")])
+            n.append(first.num_rows)
+            cur = pa.table({key_col: first[key_col], "__prev": first[f"{ts_col}_min"]})
+        return pa.table({"step": labels, "n_p": pa.array(n, pa.int64())})
 
-    parts = (
-        events.map_batches(prep, batch_format="pyarrow")
-        .groupby("__bk")
-        .map_groups(funnel, batch_format="pandas")
-    )
+    parts = bucketed_groups(
+        events.map_batches(
+            lambda b: b.filter(pc.is_in(b[type_col], value_set=step_set))
+                       .select([key_col, ts_col, type_col]),
+            batch_format="pyarrow"),
+        key_col, funnel)
     # constant zero seed per step: SQL's chained-CTE funnel always emits
     # one row per step even when NO step-type events exist; without it
-    # this would return an empty dataset on that degenerate input. Seed
-    # is a pandas block — map_groups emits pandas, and a mixed-type union
-    # fails at execution (NOTES.md facts 14/23).
-    import ray.data as rd
-
-    seed = rd.from_pandas(pd.DataFrame(
-        {"step": [f"{i + 1}_{st}" for i, st in enumerate(steps)],
-         "n_p": np.zeros(len(steps), np.int64)}
-    ))
+    # this would return an empty dataset on that degenerate input
+    seed = rd.from_arrow(pa.table(
+        {"step": labels, "n_p": pa.array(np.zeros(len(steps)), pa.int64())}))
     return partial_groupby_sum(parts.union(seed), ["step"], {"n_p": "n_keys"})
-
 
 
 def decayed_score(
@@ -1034,11 +781,7 @@ def decayed_score(
     recency-weighted touch count on graph nodes (graph_updater.py
     last-seen bookkeeping); this is the streaming-aggregate form.
     """
-    import pandas as _pd
-
-    from code_graph_rag_ray.stages.relational import partial_groupby_sum
-
-    now_us = int(_pd.Timestamp(now).value // 1000)
+    now_us = int(pd.Timestamp(now).value // 1000)
     hl_us = half_life_s * 10**6
 
     def contrib(b: pa.Table) -> pa.Table:

@@ -1,8 +1,9 @@
 """Guard: the bucketed-groups pattern (NOTES fact 25) lives in ONE operator,
 ``relational.bucketed_groups``, and the join family in ONE cogroup,
 ``relational.bucketed_cogroup``. The modules and functions ported onto them
-must not grow a hand-made bucket shuffle, a pandas group finish or a join
-bucket knob again."""
+must not grow a hand-made bucket shuffle, a pandas group finish or a
+bucket knob again, and the package's ``batch_format="pandas"`` sites only
+ever go down."""
 
 from __future__ import annotations
 
@@ -24,11 +25,13 @@ from code_graph_rag_ray.stages import (
     rangejoin,
     relational,
     skew,
+    windows,
 )
 from code_graph_rag_ray.state import lineage
 
 HAND_BUCKET_GROUPBY = re.compile(
-    r"""groupby\(\s*\[?[^)\]]*["'](bucket|__bk|__db|pbucket|__bucket)["']""")
+    r"""groupby\(\s*\[?[^)\]]*["'](bucket|__bk|__kb|__b\d?|__db|pbucket|__bucket)["']""")
+PANDAS_BATCH_FORMAT = re.compile(r"""batch_format\s*=\s*["']pandas["']""")
 PANDAS_GROUP_FINISH = re.compile(
     r"""map_groups\([^()]*(\([^()]*\)[^()]*)*batch_format\s*=\s*["']pandas["']""",
     re.S)
@@ -42,15 +45,24 @@ SOURCES = {
         graph_metrics.bfs_hops, graph_metrics.label_propagation,
         graph_metrics.sssp_bounded, relational.bucketed_join,
         relational.grouped_top_k, relational.grouped_collect,
-        relational.grouped_trimmed_sum)},
+        relational.grouped_trimmed_sum,
+        windows.session_windows_chunked, windows.sliding_time_sum,
+        windows.running_total_per_key, windows.lag_per_key,
+        windows.transition_counts, windows.strict_funnel)},
 }
 
-JOIN_FAMILY = (
+#: ``batch_format="pandas"`` sites under ``code_graph_rag_ray/``. Each port
+#: to Arrow lowers it; it never rises.
+PANDAS_SITES = 33
+
+BUCKETED_OPS = (
     relational.bucketed_cogroup, relational.bucketed_join,
     relational.adaptive_join, asof.asof_join_chunked,
     rangejoin.range_join_chunked, skew.salted_join, paths.match_pattern,
     paths._match_fixed, paths.count_pattern, paths.bounded_reachability,
     graph_metrics.bfs_hops, graph_metrics.sssp_bounded,
+    windows.session_windows_chunked, windows.transition_counts,
+    windows.strict_funnel,
 )
 
 
@@ -68,14 +80,21 @@ def test_no_hand_rolled_bucket_shuffle(name):
 def test_guard_patterns_catch_the_old_shapes():
     assert HAND_BUCKET_GROUPBY.search('x.groupby("__bk").map_groups(f)')
     assert HAND_BUCKET_GROUPBY.search("x.groupby(['table', 'bucket'])")
+    for col in ("__b", "__b2", "__kb"):
+        assert HAND_BUCKET_GROUPBY.search(f'x.groupby("{col}").map_groups(f)')
+    assert not HAND_BUCKET_GROUPBY.search('x.groupby("__bounds")')
     assert PANDAS_GROUP_FINISH.search(
         'x.groupby("k")\n  .map_groups(lambda g: f(g, 1),\n'
         '              batch_format="pandas")')
     assert not PANDAS_GROUP_FINISH.search(
         'x.groupby("k").map_groups(f, batch_format="pyarrow")')
+    assert not PANDAS_BATCH_FORMAT.search('batch_format="pyarrow"')
+    assert len(PANDAS_BATCH_FORMAT.findall(
+        'map_batches(f, batch_format="pandas")\n'
+        "map_groups(g, batch_format = 'pandas')")) == 2
 
 
-@pytest.mark.parametrize("fn", JOIN_FAMILY, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("fn", BUCKETED_OPS, ids=lambda f: f.__name__)
 def test_join_family_has_no_bucket_knobs(fn):
     # results never depend on the bucket count; the cogroup owns it
     params = set(inspect.signature(fn).parameters)
@@ -90,3 +109,11 @@ def test_pack_side_only_feeds_bucketed_cogroup():
     in_cogroup = inspect.getsource(relational.bucketed_cogroup).count("_pack_side")
     assert in_cogroup == 1
     assert users == {"stages/relational.py": 1 + in_cogroup}  # def + its call
+
+
+def test_pandas_batch_format_ratchet():
+    root = pathlib.Path(relational.__file__).parents[1]
+    n = sum(len(PANDAS_BATCH_FORMAT.findall(p.read_text())) for p in root.rglob("*.py"))
+    assert n <= PANDAS_SITES, (
+        f'{n} batch_format="pandas" sites, pinned at {PANDAS_SITES}: finish '
+        "in Arrow instead")

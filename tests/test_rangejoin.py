@@ -63,3 +63,15 @@ def test_range_join_interval_spanning_many_chunks():
     ).to_pandas()
     assert sorted(out.pid) == [1, 2]  # pid 3 is past the interval end
     assert len(out) == 2  # one match each — replication adds no duplicates
+
+
+def test_range_join_negative_timestamps_floor_into_the_interval_chunk():
+    # a point at -5 and the interval [-7, -3] share chunk -1 only when
+    # both sides floor (truncation puts the point in chunk 0)
+    P = pd.DataFrame({"user": [1, 1], "ts": [-5, -11], "pid": [1, 2]})
+    I = pd.DataFrame({"user": [1], "start": [-7], "end": [-3], "ivid": [9]})
+    out = range_join_chunked(
+        rd.from_pandas(P), rd.from_pandas(I), by="user", on="ts",
+        start_col="start", end_col="end", chunk=10,
+    ).to_pandas()
+    assert list(zip(out.pid, out.ivid_iv, out.ts)) == [(1, 9, -5)]

@@ -650,6 +650,20 @@ def test_bucketed_join_exact_int64_payload_with_unmatched_rows():
             assert all(r["rv"] == 2**53 + r["k_r"] for r in right_only)
 
 
+def test_adaptive_join_broadcast_keeps_int64_next_to_a_miss():
+    """The broadcast plan of a left join: an unmatched key in the same
+    batch must not turn the matched payload 2**53 + 1 into a double."""
+    from code_graph_rag_ray.stages.relational import adaptive_join
+
+    left = rd.from_arrow(pa.table({"k": pa.array([1, 2], pa.int64())}))
+    right = rd.from_arrow(pa.table({"k": pa.array([1], pa.int64()),
+                                    "rv": pa.array([2**53 + 1], pa.int64())}))
+    blocks = _arrow_blocks(adaptive_join(left, right, on="k", how="left"))
+    assert all(b.schema.field("rv").type == pa.int64() for b in blocks)
+    got = {r["k"]: r["rv"] for b in blocks for r in b.to_pylist()}
+    assert got == {1: 2**53 + 1, 2: None}
+
+
 def test_bucketed_join_list_payload_through_left_join():
     from code_graph_rag_ray.stages.relational import bucketed_join
 

@@ -374,69 +374,84 @@ def test_frame_sampler_policy_and_determinism():
     assert a["frame_feature"].map(tuple).equals(b["frame_feature"].map(tuple))
 
 
-def test_lag_per_key_cross_chunk_and_ties():
-    import numpy as np
-    import pyarrow as pa
-    import ray.data as rd
-
-    from code_graph_rag_ray.stages.windows import lag_per_key
-
+def _lag_rows():
     rows = []
     # user 1: events spanning chunks (chunk_s=10), incl. an EMPTY middle
     # chunk (t jumps 9 -> 35) and equal-ts peers disambiguated by id
     for i, t in enumerate([1, 5, 5, 9, 35, 47]):
         rows.append({"event_id": i, "ts": t * 1_000_000, "user_id": 1, "v": 10 + i})
-    # user 2: single event (prev = -1)
+    # user 2: single event (no carry either way: -1)
     rows.append({"event_id": 100, "ts": 3_000_000, "user_id": 2, "v": 7})
+    # user 3: values above 2**53 (no float64 holds them) carried across
+    # the chunk-0/chunk-1 boundary, next to user 2's missing carry
+    for i, (t, v) in enumerate([(2, 2**53 + 1), (12, 2**53 + 3), (13, 5)]):
+        rows.append({"event_id": 200 + i, "ts": t * 1_000_000, "user_id": 3, "v": v})
     tbl = pa.table({
         "event_id": pa.array([r["event_id"] for r in rows], pa.int64()),
         "ts": pa.array([r["ts"] for r in rows], pa.timestamp("us")),
         "user_id": pa.array([r["user_id"] for r in rows], pa.int64()),
         "v": pa.array([r["v"] for r in rows], pa.int64()),
     })
-    out = {r["event_id"]: r["prev"] for r in
-           lag_per_key(rd.from_arrow(tbl).repartition(4),
-                       value_col="v", chunk_s=10).take_all()}
-    # brute-force lag reference ordered by (ts, id)
-    ordered = sorted([r for r in rows if r["user_id"] == 1],
-                     key=lambda r: (r["ts"], r["event_id"]))
-    want = {ordered[0]["event_id"]: -1}
-    for prev, cur in zip(ordered, ordered[1:]):
-        want[cur["event_id"]] = prev["v"]
-    want[100] = -1
-    assert out == want
+    return rows, tbl
+
+
+def _brute_lag(rows, lead):
+    # reference lag/lead ordered by (ts, id) per user; -1 at the key edge
+    want = {}
+    for u in {r["user_id"] for r in rows}:
+        ordered = sorted([r for r in rows if r["user_id"] == u],
+                         key=lambda r: (r["ts"], r["event_id"]))
+        if lead:
+            ordered = ordered[::-1]
+        want[ordered[0]["event_id"]] = -1
+        for prev, cur in zip(ordered, ordered[1:]):
+            want[cur["event_id"]] = prev["v"]
+    return want
+
+
+def test_lag_per_key_cross_chunk_and_ties():
+    from code_graph_rag_ray.stages.windows import lag_per_key
+
+    rows, tbl = _lag_rows()
+    ds = lag_per_key(rd.from_arrow(tbl).repartition(4), value_col="v", chunk_s=10)
+    out = {r["event_id"]: r["prev"] for r in ds.take_all()}
+    assert out == _brute_lag(rows, lead=False)
     # the cross-empty-chunk carry: event 4 (t=35) must see event 3 (t=9)
     assert out[4] == 13
+    # the int64 carry stays exact: 2**53 + 1 is not 2**53
+    assert out[201] == 2**53 + 1 and ds.schema().base_schema.field("prev").type == pa.int64()
 
 
 def test_lead_per_key_mirrors_lag():
-    import pyarrow as pa
-    import ray.data as rd
-
     from code_graph_rag_ray.stages.windows import lag_per_key
 
-    rows = []
-    for i, t in enumerate([1, 5, 5, 9, 35, 47]):
-        rows.append({"event_id": i, "ts": t * 1_000_000, "user_id": 1, "v": 10 + i})
-    rows.append({"event_id": 100, "ts": 3_000_000, "user_id": 2, "v": 7})
-    tbl = pa.table({
-        "event_id": pa.array([r["event_id"] for r in rows], pa.int64()),
-        "ts": pa.array([r["ts"] for r in rows], pa.timestamp("us")),
-        "user_id": pa.array([r["user_id"] for r in rows], pa.int64()),
-        "v": pa.array([r["v"] for r in rows], pa.int64()),
-    })
-    out = {r["event_id"]: r["next"] for r in
-           lag_per_key(rd.from_arrow(tbl).repartition(4), value_col="v",
-                       chunk_s=10, direction="lead").take_all()}
-    ordered = sorted([r for r in rows if r["user_id"] == 1],
-                     key=lambda r: (r["ts"], r["event_id"]))
-    want = {ordered[-1]["event_id"]: -1}
-    for cur, nxt in zip(ordered, ordered[1:]):
-        want[cur["event_id"]] = nxt["v"]
-    want[100] = -1
-    assert out == want
+    rows, tbl = _lag_rows()
+    ds = lag_per_key(rd.from_arrow(tbl).repartition(4), value_col="v",
+                     chunk_s=10, direction="lead")
+    out = {r["event_id"]: r["next"] for r in ds.take_all()}
+    assert out == _brute_lag(rows, lead=True)
     # cross-empty-chunk lead: event 3 (t=9) must see event 4 (t=35)
     assert out[3] == 14
+    assert out[200] == 2**53 + 3 and ds.schema().base_schema.field("next").type == pa.int64()
+
+
+def test_chunked_window_ops_reject_null_values():
+    # a null value would come back as INT64_MIN; it must raise instead
+    import pytest
+
+    from code_graph_rag_ray.stages.windows import (
+        lag_per_key,
+        running_total_per_key,
+        sliding_time_sum,
+    )
+
+    _, tbl = _lag_rows()
+    tbl = tbl.set_column(3, "v", pa.array([None] + tbl["v"].to_pylist()[1:], pa.int64()))
+    for op, kw in ((lag_per_key, {"chunk_s": 10}),
+                   (running_total_per_key, {"chunk_s": 10}),
+                   (sliding_time_sum, {"window_s": 10})):
+        with pytest.raises(Exception, match="null value"):
+            op(rd.from_arrow(tbl), value_col="v", **kw).take_all()
 
 
 def test_image_resizer_policy_and_thumb_size():
