@@ -319,11 +319,11 @@ def customer_record_linkage(sf_dir: str):
 
     Scale shape: exact-recall 1-deletion blocking
     (stages/dedup.editdist1_pairs) generates candidates; record
-    attributes reach the pair table via two DISTRIBUTED bucketed joins
-    (the minhash-verify pattern — never a driver broadcast of the record
-    table); scoring is one vectorized pass."""
-    from code_graph_rag_ray.stages.dedup import editdist1_pairs
-    from code_graph_rag_ray.stages.relational import bucketed_join
+    attributes reach the pair table through the near-dup payload fetch
+    (stages/dedup._attach_pair_payload — broadcast while the suspects
+    fit the budget, a bucketed shuffle beyond, never a driver copy of the
+    record table); scoring is one vectorized pass."""
+    from code_graph_rag_ray.stages.dedup import _attach_pair_payload, editdist1_pairs
 
     cust = _pq(sf_dir, "customer",
                ["c_name", "c_nationkey", "c_mktsegment", "c_acctbal"])
@@ -337,24 +337,9 @@ def customer_record_linkage(sf_dir: str):
         )
 
     at = cust.map_batches(attrs, batch_format="pyarrow")
-    at_schema = pa.schema([("name", pa.string()), ("nat", pa.int64()),
-                           ("seg", pa.string()), ("bal_c", pa.int64())])
     pairs = editdist1_pairs(
         _pq(sf_dir, "customer", ["c_name"]), col="c_name",
         assume_distinct=True,
-    ).select_columns(["a", "b"])
-    j1 = bucketed_join(
-        pairs, at, on="a", right_on="name",
-        left_schema=pa.schema([("a", pa.string()), ("b", pa.string())]),
-        right_schema=at_schema,
-    )
-    j2 = bucketed_join(
-        j1, at, on="b", right_on="name",
-        left_schema=pa.schema(
-            [("a", pa.string()), ("b", pa.string()), ("nat", pa.int64()),
-             ("seg", pa.string()), ("bal_c", pa.int64())]
-        ),
-        right_schema=at_schema,
     )
 
     def score(b: pa.Table) -> pa.Table:
@@ -374,7 +359,7 @@ def customer_record_linkage(sf_dir: str):
              "klass": pa.array(klass.astype(object), pa.string())}
         )
 
-    return j2.map_batches(score, batch_format="pyarrow")
+    return _attach_pair_payload(pairs, at, "name", score)
 
 
 CUSTOMER_RECORD_LINKAGE_SQL = """

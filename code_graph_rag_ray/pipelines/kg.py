@@ -56,7 +56,6 @@ def build_kg(
     relations: dict[str, str] | None = None,
     registry: dict | None = None,
     checkpoint_dir: str | None = None,
-    num_partitions: int = 16,
     fingerprint: str = "",
     dedup_scope: str = "provenance-local",
     materialize_mentions: bool = True,
@@ -125,7 +124,6 @@ def build_kg(
     out = derive_graph_outputs(
         mentions, alias_tbl,
         dedup_scope=dedup_scope, build_nodes=build_nodes,
-        num_partitions=num_partitions,
     )
     if build_links:
         from code_graph_rag_ray.stages.links import extract_links, resolve_links
@@ -145,7 +143,6 @@ def derive_graph_outputs(
     *,
     dedup_scope: str = "provenance-local",
     build_nodes: bool = True,
-    num_partitions: int = 16,
 ) -> dict:
     """Mentions → {edges, external_edges, nodes}. Shared by the clean build
     and the incremental path (both must derive the graph the same way —
@@ -194,7 +191,7 @@ def derive_graph_outputs(
     # edges-only consumers (build_nodes=False) instead of paying it as a
     # fixed cost on every build.
     nodes = (
-        canonicalize_entities(mentions, alias_tbl, num_partitions=num_partitions)
+        canonicalize_entities(mentions, alias_tbl)
         if build_nodes
         else None
     )
@@ -215,7 +212,6 @@ def incremental_update(
     registry: dict | None = None,
     dedup_scope: str = "global",
     build_nodes: bool = True,
-    num_partitions: int = 16,
 ) -> dict:
     """Watch-mode analog (``realtime_updater.py``): re-derive the graph
 
@@ -281,7 +277,6 @@ def incremental_update(
     return derive_graph_outputs(
         mentions, alias_tbl,
         dedup_scope=dedup_scope, build_nodes=build_nodes,
-        num_partitions=num_partitions,
     )
 
 

@@ -108,8 +108,6 @@ def prune_orphans(nodes: Dataset, edges: Dataset) -> Dataset:
 def canonicalize_entities(
     mentions: Dataset,
     alias_tbl: pa.Table,
-    *,
-    num_partitions: int = 16,
 ) -> Dataset:
     """Linked mentions → node table — DISTRIBUTED end to end.
 
@@ -235,7 +233,7 @@ def canonicalize_entities(
     ]
     if alias_edges_rows:
         alias_edges = rd.from_arrow(pa.Table.from_pylist(alias_edges_rows))
-        comp = connected_components(alias_edges, num_partitions=num_partitions)
+        comp = connected_components(alias_edges)
         fam = comp.map_batches(
             lambda b: pa.table(
                 {"entity_id": b["node"], "name_family": b["component"]}

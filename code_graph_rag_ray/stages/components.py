@@ -141,14 +141,12 @@ def connected_components(
     dst: str = "dst",
     *,
     max_iter: int = 8,
-    num_partitions: int = 16,  # kept for API symmetry; shuffles are groupbys
 ) -> Dataset:
     """edges(src, dst) → (node, component) with component = min node id.
 
     Node ids are compared as strings. The result covers every node that
     appears in at least one edge.
     """
-    del num_partitions
     sym = _symmetrize(edges, src, dst).materialize()
     labels = (
         sym.groupby("node")

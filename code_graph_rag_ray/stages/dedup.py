@@ -3,18 +3,23 @@ embedding-cosine near-dup.
 
 The reference has only exact MERGE dedup (SURVEY.md §2.6: "no near-dup
 detection anywhere"); a 100 TB web corpus needs the near-dup family, so
-these are first-class operators here. All follow the same scale shape:
+these are first-class operators here. The LSH members (MinHash, SimHash,
+prefix Jaccard, embedding, edit distance 1) share one shape — partition
+by signature, verify locally, emit each pair once:
 
-    per-batch vectorized signature → explode to (bucket, id) rows →
-    groupby(bucket) candidate generation → pairwise verify inside the group
-    → connected components over verified pairs → keep min-id per component
+    per-batch vectorized signature → explode to (band key, id) rows →
+    _lsh_pairs: capped pairs per band key, then each (a, b) once →
+    _attach_pair_payload: semi-join the corpus to the suspect ids, attach
+    their payload to a and b → per-pair verify → connected components
+    over verified pairs → keep min-id per component
 
-Signatures are computed with numpy over Arrow batches (stateless tasks);
-the only shuffles are the bucket groupby and the CC rounds. Buckets bound
-pairwise work: a group of k docs does k² verification only within one
-band/bucket, and the ``max_group`` guard caps degenerate buckets (the skew
-discipline of SURVEY.md §4 — a boilerplate shingle shared by every page
-must not become one giant task).
+Signatures are computed with numpy over Arrow batches (stateless tasks).
+The shuffles are the two bucketed candidate steps, the payload fetch only
+when the suspects outgrow a broadcast, and the CC rounds. Band keys bound
+pairwise work: a key shared by k docs yields k² candidates, and the
+``max_group`` guard caps degenerate keys with the truncation recorded (the
+skew discipline of SURVEY.md §4 — a boilerplate shingle shared by every
+page must not become one giant task).
 """
 
 from __future__ import annotations
@@ -63,6 +68,31 @@ def _token_hashes(text: str, n: int = 3) -> np.ndarray:
     )
 
 
+def _token_hashes_flat(toks) -> tuple[np.ndarray, np.ndarray]:
+    """Split tokens → ``(hashes, counts)``: the uint64 siphash of every
+    non-empty token, flat in document order, and each document's count
+    of them — the tokenization step of the fast hash family.
+
+    Arrow keeps empty boundary tokens (``" a b "`` → ``["","a","b",""]``),
+    Python's ``.split()`` drops them, so they are filtered out here. The
+    vocabulary is hashed once and gathered per token: the values equal
+    hashing every token (``hash_array`` is element-independent), but the
+    Python-object hashing cost is O(vocab), not O(tokens).
+    """
+    if isinstance(toks, pa.ChunkedArray):
+        toks = toks.combine_chunks()
+    flat = toks.flatten()
+    off = np.asarray(toks.offsets, dtype=np.int64)
+    off = off - off[0]
+    keep = pc.greater(pc.utf8_length(flat), 0)
+    # kept-token count per doc via one cumsum (no astype copy / reduceat)
+    kc = np.zeros(len(flat) + 1, dtype=np.int64)
+    np.cumsum(keep.to_numpy(zero_copy_only=False), dtype=np.int64, out=kc[1:])
+    d = pc.dictionary_encode(flat.filter(keep))
+    uh = pd.util.hash_array(d.dictionary.to_numpy(zero_copy_only=False))
+    return uh[d.indices.to_numpy(zero_copy_only=False)], kc[off[1:]] - kc[off[:-1]]
+
+
 def _fast_shingle_hashes_flat(
     texts, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -91,28 +121,8 @@ def _fast_shingle_hashes_flat(
     if isinstance(texts, pa.ChunkedArray):
         texts = texts.combine_chunks()
     texts = pc.fill_null(pc.cast(texts, pa.string()), "")
-    toks = pc.utf8_split_whitespace(texts)
-    if isinstance(toks, pa.ChunkedArray):
-        toks = toks.combine_chunks()
-    flat = toks.flatten()
-    off = np.asarray(toks.offsets, dtype=np.int64)
-    off = off - off[0]
     ndocs = len(texts)
-    # Arrow keeps empty boundary tokens (" a b " → ["","a","b",""]);
-    # Python .split() drops them — filter to match that tokenization
-    keep = pc.greater(pc.utf8_length(flat), 0)
-    keep_np = keep.to_numpy(zero_copy_only=False)
-    # kept-token count per doc via one cumsum (no astype copy / reduceat)
-    kc = np.zeros(len(keep_np) + 1, dtype=np.int64)
-    np.cumsum(keep_np, dtype=np.int64, out=kc[1:])
-    counts = kc[off[1:]] - kc[off[:-1]]
-    flat = flat.filter(keep)
-    # hash the vocabulary once, gather per token — identical values to
-    # hashing every token (hash_array is element-independent), but the
-    # python-object hashing cost is O(vocab) not O(tokens)
-    d = pc.dictionary_encode(flat)
-    uh = pd.util.hash_array(d.dictionary.to_numpy(zero_copy_only=False))
-    th = uh[d.indices.to_numpy(zero_copy_only=False)]
+    th, counts = _token_hashes_flat(pc.utf8_split_whitespace(texts))
 
     m = len(th) - (n - 1)
     acc = np.empty(0, dtype=np.uint64)
@@ -322,6 +332,102 @@ def simhash_batch_factory(*, bits: int = 64, shingle: int = 2,
     return fn_md5
 
 
+def _lsh_pairs(rows: Dataset, band_cols: list[str], id_col: str,
+               max_group: int) -> Dataset:
+    """LSH candidates: ``(a, b, truncated)`` with a < b, each pair once.
+
+    Two ids are candidates when a row of each shares a band key (the
+    ``band_cols`` values). Band keys are corpus-scale (docs × bands) and
+    Ray's sort-aggregate pays a fixed per-GROUP cost that dominates there
+    (NOTES fact 25), so both steps run one hash bucket at a time on
+    ``relational.bucketed_groups``: the first enumerates the pairs of all
+    of a bucket's keys in one vectorized pass, the second keeps one row
+    per pair. A key with more than ``max_group`` distinct ids pairs only
+    its first ``max_group`` ids by sort order and marks those pairs
+    ``truncated`` — no silent caps. A pair surfaced by several keys keeps
+    the smallest flag (False wins).
+    """
+    from code_graph_rag_ray.stages.relational import (
+        _key_image,
+        _runs,
+        bucketed_groups,
+        run_starts,
+    )
+
+    def key_rows(b: pa.Table) -> pa.Table:
+        return pa.table({"__k": _key_image(b, band_cols), id_col: b[id_col]})
+
+    def pairs(g: pa.Table) -> pa.Table:
+        d = pa.TableGroupBy(g, ["__k", id_col], use_threads=False).aggregate([])
+        d = d.take(pc.sort_indices(d, sort_keys=[("__k", "ascending"),
+                                                  (id_col, "ascending")]))
+        _, lens, pos = _runs(run_starts(d, ["__k"]))
+        # each row pairs with the later rows of its capped group: ids are
+        # distinct and sorted within a key, so a < b
+        later = np.maximum(np.repeat(np.minimum(lens, max_group), lens) - pos - 1, 0)
+        ii = np.repeat(np.arange(d.num_rows), later)
+        jj = ii + 1 + (np.arange(len(ii)) - np.repeat(np.cumsum(later) - later, later))
+        ids = d[id_col]
+        return pa.table({"a": ids.take(ii), "b": ids.take(jj),
+                         "truncated": pa.array(np.repeat(lens > max_group, lens)[ii],
+                                               pa.bool_())})
+
+    def first_of_pair(g: pa.Table) -> pa.Table:
+        g = g.take(pc.sort_indices(g, sort_keys=[
+            ("a", "ascending"), ("b", "ascending"), ("truncated", "ascending")]))
+        return g.filter(pa.array(run_starts(g, ["a", "b"])))
+
+    cand = bucketed_groups(rows.map_batches(key_rows, batch_format="pyarrow"),
+                           "__k", pairs)
+    return bucketed_groups(cand, ["a", "b"], first_of_pair)
+
+
+def _attach_pair_payload(pairs: Dataset, rows: Dataset, id_col: str,
+                         verify) -> Dataset:
+    """``verify`` over candidate pairs with both sides' payload attached.
+
+    ``rows`` holds ``id_col`` plus the payload columns (texts, signatures,
+    vectors). Its rows are semi-joined to the suspect ids ``a ∪ b`` — a
+    semi join emits each row at most once, so no distinct step — and the
+    surviving payload is pinned once, then attached to ``a`` and to ``b``
+    (the ``b`` side's payload columns get the ``_r`` suffix). All three
+    joins are ``relational.adaptive_join`` calls: each broadcasts its
+    right side when it fits the budget, so at scale the corpus crosses
+    one shuffle only. ``verify`` maps a batch of ``(a, b, truncated,
+    <payload>, <payload>_r)`` to output rows.
+
+    No candidates: ``verify`` runs once on the typed empty batch, ids
+    typed as in ``rows``, so the output keeps its schema — a map over an
+    empty dataset never calls its UDF and would leave it schema-less.
+    """
+    import ray.data as rd
+
+    from code_graph_rag_ray.stages.relational import _arrow_schema, adaptive_join
+
+    pairs = pairs.materialize()
+    schema = _arrow_schema(rows)
+    payload = [f for f in schema if f.name != id_col]
+    if pairs.count() == 0:
+        id_t = schema.field(id_col).type
+        empty = pa.schema([("a", id_t), ("b", id_t), ("truncated", pa.bool_()),
+                           *payload, *(f.with_name(f.name + "_r") for f in payload)])
+        return rd.from_arrow(verify(empty.empty_table()))
+
+    def suspect_ids(b: pa.Table) -> pa.Table:
+        return pa.table({id_col: pa.concat_arrays(
+            [b["a"].combine_chunks(), b["b"].combine_chunks()])})
+
+    suspects = adaptive_join(
+        rows, pairs.map_batches(suspect_ids, batch_format="pyarrow"),
+        on=id_col, how="semi").materialize()
+    with_a = adaptive_join(pairs, suspects, on="a", right_on=id_col)
+    # with_a may be a lazy shuffle output: name its schema so a bucketed
+    # plan's probe does not execute it (NOTES fact 22)
+    with_b = adaptive_join(with_a, suspects, on="b", right_on=id_col,
+                           left_schema=pa.schema([*_arrow_schema(pairs), *payload]))
+    return with_b.map_batches(verify, batch_format="pyarrow")
+
+
 def simhash_near_dup_pairs(
     ds: Dataset,
     *,
@@ -332,65 +438,50 @@ def simhash_near_dup_pairs(
     max_group: int = 500,
     hash_family: str = "fast",
 ) -> Dataset:
-    """SimHash near-dup pairs: (a, b, hamming) with hamming ≤ ``max_hamming``.
+    """SimHash near-dup pairs: (a, b, truncated, hamming) with a < b and
+    hamming ≤ ``max_hamming``.
 
-    Completes the SimHash pipeline (round 1 stopped at the signature
-    column). Banded by the pigeonhole principle: the 64-bit signature is
-    split into ``max_hamming + 1`` equal bands — two signatures within
-    Hamming distance k must agree EXACTLY on at least one band, so
-    per-(band, band_value) buckets surface every qualifying pair. Exact
-    popcount verification runs on the candidate pairs; cross-band
-    duplicates are removed by the exact-dedup shuffle. Same scale shape as
-    the MinHash path: stateless signatures → bucket groupby → bounded
-    per-group pairing → verify.
+    Banded by the pigeonhole principle: the 64-bit signature is split
+    into ``max_hamming + 1`` equal bands — two signatures within Hamming
+    distance k must agree EXACTLY on at least one band, so the
+    (band, band_value) keys of :func:`_lsh_pairs` surface every
+    qualifying pair (``max_group``-capped, truncation recorded). The
+    signatures are computed once and pinned: they feed the band rows and
+    are the ``(id, simhash)`` payload that :func:`_attach_pair_payload`
+    brings to each pair for the popcount verify.
     """
-    from code_graph_rag_ray.stages.materialize import exact_dedup
-
     n_bands = max_hamming + 1
     band_bits = 64 // n_bands
-    sig_fn = simhash_batch_factory(shingle=shingle, id_col=id_col,
-                                   text_col=text_col, hash_family=hash_family)
+    shifts = np.arange(n_bands, dtype=np.uint64) * np.uint64(band_bits)
+    mask = np.uint64((1 << band_bits) - 1)
+    sigs = ds.map_batches(
+        simhash_batch_factory(shingle=shingle, id_col=id_col,
+                              text_col=text_col, hash_family=hash_family),
+        batch_format="pyarrow",
+    ).materialize()
 
-    def explode(batch: pa.Table) -> pa.Table:
-        sigs = sig_fn(batch)
-        sim = sigs["simhash"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        outs = []
-        for band in range(n_bands):
-            lo = np.uint64(band * band_bits)
-            mask = np.uint64((1 << band_bits) - 1)
-            val = ((sim >> lo) & mask).astype(np.int64)
-            outs.append(
-                pa.table(
-                    {id_col: sigs[id_col],
-                     "band": pa.array(np.full(len(sim), band, np.int32)),
-                     "band_val": pa.array(val),
-                     "simhash": sigs["simhash"]}
-                )
-            )
-        return pa.concat_tables(outs)
+    def band_rows(b: pa.Table) -> pa.Table:
+        sim = b["simhash"].to_numpy(zero_copy_only=False).astype(np.uint64)
+        n = len(sim)
+        vals = (sim[None, :] >> shifts[:, None]) & mask  # (band, doc)
+        return pa.table({
+            id_col: b[id_col].take(pa.array(np.tile(np.arange(n), n_bands))),
+            "band": pa.array(np.repeat(np.arange(n_bands, dtype=np.int32), n)),
+            "band_val": pa.array(vals.reshape(-1).astype(np.int64)),
+        })
 
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop_duplicates(id_col).sort_values(id_col, kind="mergesort").head(max_group)
-        ids = g[id_col].tolist()
-        if len(ids) < 2:
-            return pd.DataFrame({"a": [], "b": [], "hamming": []})
-        sims = g["simhash"].to_numpy().astype(np.uint64)
-        ii, jj = np.triu_indices(len(ids), k=1)
-        x = sims[ii] ^ sims[jj]
-        # vectorized popcount via the 8-bit lookup over the raw bytes
-        ham = np.unpackbits(x.view(np.uint8).reshape(len(x), 8), axis=1).sum(axis=1)
-        keep = ham <= max_hamming
-        return pd.DataFrame(
-            {"a": [ids[i] for i in ii[keep]], "b": [ids[j] for j in jj[keep]],
-             "hamming": ham[keep].astype("int64")}
-        )
+    def verify(b: pa.Table) -> pa.Table:
+        x = np.bitwise_xor(b["simhash"].to_numpy(zero_copy_only=False),
+                           b["simhash_r"].to_numpy(zero_copy_only=False))
+        # vectorized popcount over the raw bytes
+        ham = np.unpackbits(x.view(np.uint8).reshape(-1, 8), axis=1).sum(axis=1)
+        t = pa.table({"a": b["a"], "b": b["b"], "truncated": b["truncated"],
+                      "hamming": pa.array(ham.astype(np.int64))})
+        return t.filter(pa.array(ham <= max_hamming))
 
-    cand = (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby(["band", "band_val"])
-        .map_groups(pairs, batch_format="pandas")
-    )
-    return exact_dedup(cand, keys=["a", "b"], columns=["a", "b", "hamming"])
+    pairs = _lsh_pairs(sigs.map_batches(band_rows, batch_format="pyarrow"),
+                       ["band", "band_val"], id_col, max_group)
+    return _attach_pair_payload(pairs, sigs, id_col, verify)
 
 
 def jaccard(a: str, b: str, n: int = 3, hash_family: str = "md5") -> float:
@@ -460,18 +551,15 @@ def ngram_jaccard_pairs(
         on="k", how="inner",
     )
 
-    def compute(df):
-        import pandas as pd
-
+    def compute(b: pa.Table) -> pa.Table:
         for c in extra:
-            df = df[df["ga_" + c] == df["gb_" + c]]
-        return pd.DataFrame(
-            {"id_a": df["id_a"], "id_b": df["id_b"],
-             "jaccard": [jaccard_exact(a, b, n)
-                         for a, b in zip(df["text_a"], df["text_b"])]}
-        )
+            b = b.filter(pc.equal(b["ga_" + c], b["gb_" + c]))
+        js = [jaccard_exact(x, y, n) for x, y in
+              zip(b["text_a"].to_pylist(), b["text_b"].to_pylist())]
+        return pa.table({"id_a": b["id_a"], "id_b": b["id_b"],
+                         "jaccard": pa.array(js, pa.float64())})
 
-    return joined.map_batches(compute, batch_format="pandas")
+    return joined.map_batches(compute, batch_format="pyarrow")
 
 
 def exact_dup_clusters(ds: Dataset, *, id_col: str = "doc_id", text_col: str = "text") -> Dataset:
@@ -491,64 +579,6 @@ def exact_dup_clusters(ds: Dataset, *, id_col: str = "doc_id", text_col: str = "
     )
 
 
-def _dedup_pairs_bucketed(cand: Dataset) -> Dataset:
-    """Dedup (a, b, truncated) candidate pairs surfaced by several buckets —
-    one sort + first-of-run pick per ``relational.bucketed_groups``
-    bucket instead of a high-cardinality exact_dedup (NOTES.md fact 25:
-    ~1M distinct pair groups cost 101 s of per-group reduce). The sort
-    puts truncated=False first, matching exact_dedup's Min winner."""
-    from code_graph_rag_ray.stages.relational import bucketed_groups, run_starts
-
-    def dedup_pairs(g: pa.Table) -> pa.Table:
-        g = g.select(["a", "b", "truncated"])
-        g = g.take(pc.sort_indices(g, sort_keys=[
-            ("a", "ascending"), ("b", "ascending"), ("truncated", "ascending")]))
-        return g.filter(pa.array(run_starts(g, ["a", "b"])))
-
-    return bucketed_groups(cand, ["a", "b"], dedup_pairs)
-
-
-def _pairs_from_buckets(bucket_rows: Dataset, bucket_cols: list[str], id_col: str,
-                        *, max_group: int = 200) -> Dataset:
-    """Candidate pairs (a < b) within each bucket-key group. Groups above
-    ``max_group`` are truncated (deterministically, by sorted id) and the
-    truncation is recorded via the ``truncated`` column — no silent caps.
-
-    Bucket-key cardinality is corpus-scale (docs × bands) and Ray's
-    sort-aggregate/map_groups pays a fixed per-GROUP cost that dominated at
-    ~100k groups (NOTES.md fact 25), so the keys go through
-    ``relational.bucketed_groups``: each bucket enumerates the pairs of
-    all its keys in one vectorized pass.
-    """
-    from code_graph_rag_ray.stages.relational import (
-        _key_image,
-        _runs,
-        bucketed_groups,
-        run_starts,
-    )
-
-    def key_rows(b: pa.Table) -> pa.Table:
-        return pa.table({"__k": _key_image(b, bucket_cols), id_col: b[id_col]})
-
-    def pairs(g: pa.Table) -> pa.Table:
-        d = pa.TableGroupBy(g, ["__k", id_col], use_threads=False).aggregate([])
-        d = d.take(pc.sort_indices(d, sort_keys=[("__k", "ascending"),
-                                                  (id_col, "ascending")]))
-        _, lens, pos = _runs(run_starts(d, ["__k"]))
-        # each row pairs with the later rows of its capped group: ids are
-        # distinct and sorted within a key, so a < b
-        later = np.maximum(np.repeat(np.minimum(lens, max_group), lens) - pos - 1, 0)
-        ii = np.repeat(np.arange(d.num_rows), later)
-        jj = ii + 1 + (np.arange(len(ii)) - np.repeat(np.cumsum(later) - later, later))
-        ids = d[id_col]
-        return pa.table({"a": ids.take(ii), "b": ids.take(jj),
-                         "truncated": pa.array(np.repeat(lens > max_group, lens)[ii],
-                                               pa.bool_())})
-
-    return bucketed_groups(
-        bucket_rows.map_batches(key_rows, batch_format="pyarrow"), "__k", pairs)
-
-
 def minhash_near_dup_pairs(
     ds: Dataset,
     *,
@@ -565,48 +595,19 @@ def minhash_near_dup_pairs(
 
     Returns (a, b, truncated, jaccard) with a < b and jaccard ≥ threshold.
 
-    Scale shape: signatures/bands are stateless batch work; candidate
-    generation is the band-bucket groupby (``max_group``-capped, truncation
-    recorded); verification texts reach the pairs through two DISTRIBUTED
-    bucketed joins (pairs ⋈ texts on ``a``, then on ``b``) — never a
-    driver-side whole-corpus broadcast, so the dup-suspect universe can
-    exceed any single machine.
+    Scale shape: signatures/bands are stateless batch work; candidates
+    come from the (band, band_hash) keys of :func:`_lsh_pairs`
+    (``max_group``-capped, truncation recorded); the suspects' texts reach
+    the pairs through :func:`_attach_pair_payload` — broadcast while they
+    fit a worker's budget, a bucketed shuffle beyond it, never a
+    driver-side copy of the corpus.
     """
-    from code_graph_rag_ray.stages.materialize import exact_dedup
-    from code_graph_rag_ray.stages.relational import bucketed_join
-
     bucket_rows = ds.map_batches(
         minhash_bands_batch_factory(
             num_perm=num_perm, bands=bands, shingle=shingle,
             id_col=id_col, text_col=text_col, hash_family=hash_family,
         ),
         batch_format="pyarrow",
-    )
-    cand = _pairs_from_buckets(bucket_rows, ["band", "band_hash"], id_col, max_group=max_group)
-    # dedup candidate pairs surfaced by multiple bands; pin the (small)
-    # pair set so the emptiness probe below doesn't re-run the LSH pipeline
-    cand = _dedup_pairs_bucketed(cand).materialize()
-    if cand.count() == 0:
-        import ray.data as rd
-
-        return rd.from_arrow(
-            pa.table({"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
-                      "truncated": pa.array([], pa.bool_()),
-                      "jaccard": pa.array([], pa.float64())})
-        )
-
-    texts = ds.select_columns([id_col, text_col])
-    with_a = bucketed_join(cand, texts, on="a", right_on=id_col)
-    # second join brings the b-side text; the collision rename yields
-    # ``<text_col>_r``
-    # with_a is a lazy join output (groupby upstream): pass its schema so
-    # the second join's probe doesn't re-execute the first join
-    with_b = bucketed_join(
-        with_a, texts, on="b", right_on=id_col,
-        left_schema=pa.schema(
-            [("a", pa.int64()), ("b", pa.int64()), ("truncated", pa.bool_()),
-             (text_col, pa.string())]
-        ),
     )
 
     def verify(batch: pa.Table) -> pa.Table:
@@ -618,9 +619,11 @@ def minhash_near_dup_pairs(
             {"a": batch["a"], "b": batch["b"], "truncated": batch["truncated"],
              "jaccard": pa.array(js, pa.float64())}
         )
-        return t.filter(pa.compute.greater_equal(t["jaccard"], verify_threshold))
+        return t.filter(pc.greater_equal(t["jaccard"], verify_threshold))
 
-    return with_b.map_batches(verify, batch_format="pyarrow")
+    pairs = _lsh_pairs(bucket_rows, ["band", "band_hash"], id_col, max_group)
+    return _attach_pair_payload(pairs, ds.select_columns([id_col, text_col]),
+                                id_col, verify)
 
 
 def near_dup_clusters(pairs: Dataset, *, max_iter: int = 6) -> Dataset:
@@ -643,28 +646,33 @@ def embedding_near_dup_pairs(
     seed: int = 11,
     max_group: int = 500,
 ) -> Dataset:
-    """Embedding-cosine near-dup via MULTI-TABLE random-hyperplane LSH.
+    """Embedding-cosine near-dup via MULTI-TABLE random-hyperplane LSH:
+    (a, b, truncated, cosine) with a < b and cosine ≥ ``threshold``.
 
     One sign-bucket table misses any near-pair split by a single
     hyperplane (at cosine 0.97 a pair lands in the same 8-plane bucket only
     ~60% of the time — observed deterministically in tests). The standard
     fix is banding: ``n_tables`` independent plane sets, a pair is a
-    candidate if it collides in ANY table (miss rate ≈ (1-p)^L). Vectors
-    ship through the bucket shuffle once per table (×L payload — the usual
-    LSH space/recall trade); exact cosine verification runs per
-    (table, bucket) group and duplicate pair hits across tables are removed
-    by the exact-dedup shuffle.
+    candidate if it collides in ANY table (miss rate ≈ (1-p)^L). Only
+    (id, table, bucket) rows cross the :func:`_lsh_pairs` shuffles
+    (``max_group``-capped, truncation recorded); the vectors are the
+    payload :func:`_attach_pair_payload` brings to each candidate pair,
+    and the verify is a per-pair float32 cosine of the unit vectors.
     """
-    from code_graph_rag_ray.stages.materialize import exact_dedup
-
     first = ds.take(1)
     dim = len(first[0][vec_col]) if first else 0
     rng = np.random.default_rng(seed)
     planes = rng.standard_normal((n_tables, dim, n_planes)) if dim else None
     powers = (np.uint32(1) << np.arange(n_planes, dtype=np.uint32))
 
-    def bucketize(b: pa.Table) -> pa.Table:
-        vecs = np.stack([np.asarray(v, dtype=np.float32) for v in b[vec_col].to_pylist()])
+    def matrix(col) -> np.ndarray:
+        if isinstance(col, pa.ChunkedArray):
+            col = col.combine_chunks()
+        flat = col.flatten().to_numpy(zero_copy_only=False)
+        return flat.astype(np.float32).reshape(len(col), dim)
+
+    def band_rows(b: pa.Table) -> pa.Table:
+        vecs = matrix(b[vec_col])
         out = []
         for t in range(n_tables):
             signs = (vecs @ planes[t] > 0).astype(np.uint32)
@@ -673,35 +681,27 @@ def embedding_near_dup_pairs(
                 pa.table(
                     {id_col: b[id_col],
                      "table": pa.array(np.full(len(vecs), t, np.int32)),
-                     "bucket": pa.array(bucket.astype(np.int64)),
-                     vec_col: b[vec_col]}
+                     "bucket": pa.array(bucket.astype(np.int64))}
                 )
             )
         return pa.concat_tables(out)
 
-    def verify(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(id_col, kind="mergesort").head(max_group)
-        ids = g[id_col].tolist()
-        if len(ids) < 2:
-            return pd.DataFrame({"a": [], "b": [], "cosine": []})
-        vecs = np.stack([np.asarray(v, dtype=np.float32) for v in g[vec_col]])
+    def unit(col) -> np.ndarray:
+        vecs = matrix(col)
         norms = np.linalg.norm(vecs, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
-        sims = (vecs / norms) @ (vecs / norms).T
-        ii, jj = np.triu_indices(len(ids), k=1)
-        keep = sims[ii, jj] >= threshold
-        return pd.DataFrame(
-            {"a": [ids[i] for i in ii[keep]], "b": [ids[j] for j in jj[keep]],
-             "cosine": sims[ii, jj][keep].astype(float)}
-        )
+        return vecs / norms
 
-    pairs = (
-        ds.map_batches(bucketize, batch_format="pyarrow")
-        .groupby(["table", "bucket"])
-        .map_groups(verify, batch_format="pandas")
-    )
-    # same pair can collide in several tables; cosine is identical per pair
-    return exact_dedup(pairs, keys=["a", "b"], columns=["a", "b", "cosine"])
+    def verify(b: pa.Table) -> pa.Table:
+        cos = np.einsum("ij,ij->i", unit(b[vec_col]), unit(b[vec_col + "_r"]))
+        t = pa.table({"a": b["a"], "b": b["b"], "truncated": b["truncated"],
+                      "cosine": pa.array(cos.astype(np.float64))})
+        return t.filter(pa.array(cos >= threshold))
+
+    pairs = _lsh_pairs(ds.map_batches(band_rows, batch_format="pyarrow"),
+                       ["table", "bucket"], id_col, max_group)
+    return _attach_pair_payload(pairs, ds.select_columns([id_col, vec_col]),
+                                id_col, verify)
 
 
 def minhash_signature_rows(
@@ -809,21 +809,8 @@ def dup_ngram_spans(
                           id_col: pa.array([], pa.int64())})
         if b.num_rows == 0:
             return empty
-        toks = pc.split_pattern_regex(
-            pc.utf8_lower(pc.fill_null(b[text_col], "")), pattern=_TOKEN_SPLIT)
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
-        flat = toks.flatten()
-        off = np.asarray(toks.offsets, dtype=np.int64)
-        off = off - off[0]
-        keep = pc.greater(pc.utf8_length(flat), 0)
-        keep_np = keep.to_numpy(zero_copy_only=False)
-        kc = np.zeros(len(keep_np) + 1, dtype=np.int64)
-        np.cumsum(keep_np, dtype=np.int64, out=kc[1:])
-        counts = kc[off[1:]] - kc[off[:-1]]
-        d = pc.dictionary_encode(flat.filter(keep))
-        uh = pd.util.hash_array(d.dictionary.to_numpy(zero_copy_only=False))
-        th = uh[d.indices.to_numpy(zero_copy_only=False)]
+        th, counts = _token_hashes_flat(pc.split_pattern_regex(
+            pc.utf8_lower(pc.fill_null(b[text_col], "")), pattern=_TOKEN_SPLIT))
         m = len(th) - (w - 1)
         if m <= 0 or not (counts >= w).any():
             return empty
@@ -949,12 +936,8 @@ def editdist1_pairs(
 
     # deletion keys are HIGH-cardinality (≈ length × distinct strings):
     # bucketed candidate generation, never per-key groups (NOTES fact 25)
-    cand = _pairs_from_buckets(
-        distinct.map_batches(keys, batch_format="pyarrow"), ["key"], col,
-        max_group=max_group)
-    # cross-key duplicate pairs (a pair can share several deletion keys):
-    # bucketized dedup, not a high-cardinality exact_dedup (NOTES fact 25)
-    cand = _dedup_pairs_bucketed(cand)
+    cand = _lsh_pairs(distinct.map_batches(keys, batch_format="pyarrow"),
+                      ["key"], col, max_group)
 
     def verify(b: pa.Table) -> pa.Table:
         ok = pa.array([_ed_le1(x, y) for x, y in
@@ -989,17 +972,15 @@ def prefix_jaccard_join(
     exact per-pair verify then removes false candidates.
 
     Scale shape identical to :func:`minhash_near_dup_pairs`: prefix rows
-    are stateless batch work, candidates come from the hash-bucketed
-    cogroup (``max_group``-capped with recorded truncation — the cap is
-    the ONLY exactness caveat and only binds under adversarial hot
-    shingles), texts reach pairs via two distributed bucketed joins, the
-    integer (inter, uni) verify runs inside the join batches. τ is a
+    are stateless batch work, candidates come from :func:`_lsh_pairs`
+    keyed by prefix hash (``max_group``-capped with recorded truncation —
+    the cap is the ONLY exactness caveat and only binds under adversarial
+    hot shingles), texts reach pairs via :func:`_attach_pair_payload`, and
+    the integer (inter, uni) verify runs on the joined batches. τ is a
     rational (num, den) so the threshold compare is pure integer —
     bit-exact against a brute-force SQL oracle.
     """
     import hashlib
-
-    from code_graph_rag_ray.stages.relational import bucketed_join
 
     num, den = tau
 
@@ -1031,35 +1012,6 @@ def prefix_jaccard_join(
         return pa.table({id_col: pa.array(ids, b[id_col].type),
                          "ph": pa.array(ph, pa.int64())})
 
-    pr = ds.map_batches(prefix_rows, batch_format="pyarrow")
-    cand = _dedup_pairs_bucketed(
-        _pairs_from_buckets(pr, ["ph"], id_col, max_group=max_group)
-    ).materialize()
-
-    from code_graph_rag_ray.stages.relational import _arrow_schema
-
-    if cand.count() == 0:
-        import ray.data as rd
-
-        # empty-result id dtype mirrors the input's
-        id_t = _arrow_schema(ds).field(id_col).type
-        return rd.from_arrow(pa.table(
-            {"a": pa.array([], id_t), "b": pa.array([], id_t),
-             "truncated": pa.array([], pa.bool_()),
-             "inter": pa.array([], pa.int64()), "uni": pa.array([], pa.int64())}
-        ))
-
-    id_t = _arrow_schema(cand).field("a").type
-    texts = ds.select_columns([id_col, text_col])
-    with_a = bucketed_join(cand, texts, on="a", right_on=id_col)
-    with_b = bucketed_join(
-        with_a, texts, on="b", right_on=id_col,
-        left_schema=pa.schema(
-            [("a", id_t), ("b", id_t), ("truncated", pa.bool_()),
-             (text_col, pa.string())]
-        ),
-    )
-
     def verify(batch: pa.Table) -> pa.Table:
         inter_l, uni_l = [], []
         for x, y in zip(batch[text_col].to_pylist(),
@@ -1079,7 +1031,10 @@ def prefix_jaccard_join(
         )
         return t.filter(keep)
 
-    return with_b.map_batches(verify, batch_format="pyarrow")
+    pairs = _lsh_pairs(ds.map_batches(prefix_rows, batch_format="pyarrow"),
+                       ["ph"], id_col, max_group)
+    return _attach_pair_payload(pairs, ds.select_columns([id_col, text_col]),
+                                id_col, verify)
 
 
 def minhash_dedup_apply(
@@ -1184,13 +1139,14 @@ def semantic_dedup(
     the paper's RNG-seeded keep policy).
 
     Scale shape: clustering is the fixed-point distributed k-means
-    (broadcast centroid matrix, two-phase update); the pairwise stage is
-    a ``groupby(cluster).map_groups`` whose quadratic work is confined to
-    one cluster — ``max_group`` caps degenerate clusters (rows ranked by
-    id beyond the cap skip the pairwise check and survive with
-    ``truncated=true``, the same recorded-truncation discipline as the
-    LSH band cap). Reference analog: semantic grouping is absent from the
-    reference (exact MERGE only); this is the embedding-space member of
+    (broadcast centroid matrix, two-phase update); the pairwise stage
+    runs one ``relational.bucketed_groups`` bucket of clusters at a time,
+    its quadratic work confined to one cluster — ``max_group`` caps
+    degenerate clusters (rows ranked by id beyond the cap skip the
+    pairwise check and survive with ``truncated=true``, the same
+    recorded-truncation discipline as the LSH band cap). Reference
+    analog: semantic grouping is absent from the reference (exact MERGE
+    only); this is the embedding-space member of
     the near-dup family (SemDeDup, Abbas et al. 2023, arXiv:2303.09540).
 
     **k-sizing rule**: the within-cluster pairwise stage is O(cluster²),
@@ -1203,6 +1159,7 @@ def semantic_dedup(
     exact at any k, only the recall/cost trade moves.
     """
     from code_graph_rag_ray.stages.clustering import _quantize, kmeans_train
+    from code_graph_rag_ray.stages.relational import _runs, bucketed_groups, run_starts
 
     if k is None:
         n = ds.count()
@@ -1232,29 +1189,31 @@ def semantic_dedup(
 
     n2, d2 = threshold_num * threshold_num, threshold_den * threshold_den
 
-    def pairwise(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(id_col, kind="mergesort").reset_index(drop=True)
-        m = len(g)
-        head = min(m, max_group)
-        q = np.stack(g["qv"].to_numpy()[:head]).astype(object)
-        dot = q @ q.T  # object ints: overflow-proof exact arithmetic
-        norms = np.diag(dot).copy()
-        # dropped iff ANY lower-id row (row index < col index after the id
-        # sort) clears the threshold — a plain EXISTS, replayed 1:1 in SQL
-        mask = np.asarray(
-            (dot > 0) & (dot * dot * d2 >= n2 * np.outer(norms, norms)),
-            dtype=bool,
-        )
-        keep = np.ones(m, dtype=bool)
-        keep[:head] = ~np.triu(mask, 1).any(axis=0)
-        return pd.DataFrame({
-            id_col: g[id_col].to_numpy(),
-            "cluster": g["cluster"].to_numpy(),
-            "keep": keep,
-            "truncated": np.arange(m) >= max_group,
-        })
+    def pairwise(g: pa.Table) -> pa.Table:
+        g = g.take(pc.sort_indices(g, sort_keys=[("cluster", "ascending"),
+                                                  (id_col, "ascending")]))
+        starts, lens, pos = _runs(run_starts(g, ["cluster"]))
+        qv = g["qv"].combine_chunks()
+        qm = qv.flatten().to_numpy(zero_copy_only=False).reshape(len(qv), -1)
+        keep = np.ones(g.num_rows, dtype=bool)
+        for s, m in zip(starts, lens):
+            head = min(m, max_group)
+            q = qm[s:s + head].astype(object)
+            dot = q @ q.T  # object ints: overflow-proof exact arithmetic
+            norms = np.diag(dot).copy()
+            # dropped iff ANY lower-id row (row index < col index after the
+            # id sort) clears the threshold — a plain EXISTS, replayed 1:1
+            # in SQL
+            mask = np.asarray(
+                (dot > 0) & (dot * dot * d2 >= n2 * np.outer(norms, norms)),
+                dtype=bool,
+            )
+            keep[s:s + head] = ~np.triu(mask, 1).any(axis=0)
+        return pa.table({id_col: g[id_col], "cluster": g["cluster"],
+                         "keep": pa.array(keep),
+                         "truncated": pa.array(pos >= max_group)})
 
-    return assigned.groupby("cluster").map_groups(pairwise)
+    return bucketed_groups(assigned, "cluster", pairwise)
 
 
 def dup_span_apply(

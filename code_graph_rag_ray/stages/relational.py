@@ -111,9 +111,10 @@ def broadcast_join(
     driver; beyond that, use :func:`bucketed_join`.
 
     Output: the batch's columns, then the small side's minus its key
-    column; right columns that clash with left names get an ``_r`` suffix
-    (the :func:`bucketed_join` contract). A null key never matches (SQL),
-    on either side.
+    column (``how="semi"``/``"anti"``: the batch's columns only); right
+    columns that clash with left names get an ``_r`` suffix (the
+    :func:`bucketed_join` contract). A null key never matches (SQL), on
+    either side.
     """
     import ray
 
@@ -510,8 +511,9 @@ def adaptive_join(
     store spills if the side turns out large. At 10^12-doc scale a
     fact-scale right side blows the budget and the plan degrades to the
     bucketed exchange automatically; on a laptop-scale run the broadcast
-    fast path wins. Only ``inner``/``left`` are eligible for broadcast
-    (a broadcast right side cannot produce right-unmatched rows).
+    fast path wins. Only ``inner``/``left``/``semi`` are eligible for
+    broadcast (a broadcast right side cannot produce right-unmatched
+    rows); a semi join emits each left row at most once on either plan.
 
     Env override ``GRAFT_BROADCAST_BUDGET`` (bytes) tunes the threshold
     without code changes — set it per deployment to ~1/8 of a worker
@@ -525,7 +527,7 @@ def adaptive_join(
         )
     right = right.materialize()
     size = right.size_bytes() or 0
-    if how in ("inner", "left") and size <= broadcast_budget_bytes:
+    if how in ("inner", "left", "semi") and size <= broadcast_budget_bytes:
         return broadcast_join(left, right, on=on, right_on=right_on, how=how)
     return bucketed_join(
         left, right, on=on, right_on=right_on, how=how,

@@ -2,8 +2,8 @@
 ``relational.bucketed_groups``, and the join family in ONE cogroup,
 ``relational.bucketed_cogroup``. The modules and functions ported onto them
 must not grow a hand-made bucket shuffle, a pandas group finish or a
-bucket knob again, and the package's ``batch_format="pandas"`` sites only
-ever go down."""
+bucket knob again, the graph build takes no partition count it ignores,
+and the package's ``batch_format="pandas"`` sites only ever go down."""
 
 from __future__ import annotations
 
@@ -13,8 +13,10 @@ import re
 
 import pytest
 
+from code_graph_rag_ray.pipelines import kg
 from code_graph_rag_ray.stages import (
     asof,
+    canonicalize,
     components,
     dedup,
     fusion,
@@ -40,7 +42,10 @@ SOURCES = {
     **{m.__name__: m for m in (asof, components, fusion, linking, materialize,
                                paths, rangejoin, lineage)},
     **{f"{f.__module__}.{f.__name__}": f for f in (
-        dedup._dedup_pairs_bucketed, dedup._pairs_from_buckets,
+        dedup._lsh_pairs, dedup._attach_pair_payload,
+        dedup.minhash_near_dup_pairs, dedup.simhash_near_dup_pairs,
+        dedup.embedding_near_dup_pairs, dedup.prefix_jaccard_join,
+        dedup.ngram_jaccard_pairs, dedup.semantic_dedup,
         dedup.editdist1_pairs, dedup.dup_ngram_spans, dedup.dup_span_apply,
         graph_metrics.bfs_hops, graph_metrics.label_propagation,
         graph_metrics.sssp_bounded, relational.bucketed_join,
@@ -53,7 +58,7 @@ SOURCES = {
 
 #: ``batch_format="pandas"`` sites under ``code_graph_rag_ray/``. Each port
 #: to Arrow lowers it; it never rises.
-PANDAS_SITES = 33
+PANDAS_SITES = 30
 
 BUCKETED_OPS = (
     relational.bucketed_cogroup, relational.bucketed_join,
@@ -99,6 +104,15 @@ def test_join_family_has_no_bucket_knobs(fn):
     # results never depend on the bucket count; the cogroup owns it
     params = set(inspect.signature(fn).parameters)
     assert not params & {"num_buckets", "coalesce"}, fn.__name__
+
+
+@pytest.mark.parametrize("fn", (
+    components.connected_components, canonicalize.canonicalize_entities,
+    kg.derive_graph_outputs, kg.build_kg, kg.incremental_update,
+), ids=lambda f: f.__name__)
+def test_graph_build_has_no_partition_knob(fn):
+    # none of these writes partitions; only materialize/serve take the count
+    assert "num_partitions" not in inspect.signature(fn).parameters, fn.__name__
 
 
 def test_pack_side_only_feeds_bucketed_cogroup():

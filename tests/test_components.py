@@ -10,7 +10,7 @@ from code_graph_rag_ray.stages.components import component_sizes, connected_comp
 
 def _cc(pairs):
     t = pa.Table.from_pylist([{"src": a, "dst": b} for a, b in pairs])
-    labels = connected_components(rd.from_arrow(t), num_partitions=4)
+    labels = connected_components(rd.from_arrow(t))
     df = labels.to_pandas()
     return dict(zip(df["node"], df["component"]))
 
@@ -56,6 +56,6 @@ def test_cc_scale_with_whale_hub():
 
 def test_component_sizes():
     t = pa.Table.from_pylist([{"src": a, "dst": b} for a, b in [("a", "b"), ("x", "y"), ("y", "z")]])
-    labels = connected_components(rd.from_arrow(t), num_partitions=2)
+    labels = connected_components(rd.from_arrow(t))
     sizes = {r["component"]: r["size"] for r in component_sizes(labels).to_pandas().to_dict("records")}
     assert sizes == {"a": 2, "x": 3}

@@ -12,7 +12,9 @@ from code_graph_rag_ray.stages.dedup import (
     jaccard,
     minhash_near_dup_pairs,
     near_dup_clusters,
+    prefix_jaccard_join,
     simhash_batch_factory,
+    simhash_near_dup_pairs,
 )
 
 
@@ -75,7 +77,7 @@ def test_simhash_close_for_near_dups():
     assert out == out2
 
 
-def test_embedding_near_dup_pairs():
+def test_embedding_near_dup_pairs(monkeypatch):
     rng = np.random.default_rng(3)
     base = rng.standard_normal(16).astype(np.float32)
     rows = [
@@ -84,10 +86,13 @@ def test_embedding_near_dup_pairs():
         {"vec_id": 3, "embedding": rng.standard_normal(16).astype(np.float32).tolist()},
     ]
     ds = rd.from_arrow(pa.Table.from_pylist(rows))
-    pairs = embedding_near_dup_pairs(ds, threshold=0.95, n_planes=4).to_pandas()
-    got = set(map(tuple, pairs[["a", "b"]].itertuples(index=False)))
-    assert (1, 2) in got
-    assert not any(3 in p for p in got)
+    for budget in (None, "0"):  # "0": the vectors reach pairs by shuffle
+        if budget:
+            monkeypatch.setenv("GRAFT_BROADCAST_BUDGET", budget)
+        pairs = embedding_near_dup_pairs(ds, threshold=0.95, n_planes=4).to_pandas()
+        got = set(map(tuple, pairs[["a", "b"]].itertuples(index=False)))
+        assert (1, 2) in got, budget
+        assert not any(3 in p for p in got), budget
 
 
 def test_simhash_near_dup_pairs_planted():
@@ -123,6 +128,83 @@ def test_simhash_near_dup_pairs_planted():
         # no token-disjoint pair sneaks in below the budget
         for a, b in got:
             assert (a, b) == (4, 19), family
+
+
+def test_near_dup_caps_are_recorded():
+    # 12 identical docs share every band key; max_group=5 pairs only the
+    # first 5 ids (10 of the 66 pairs) and every family says so
+    ds = _docs([(i, BASE) for i in range(12)])
+    capped = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    for fn in (simhash_near_dup_pairs, minhash_near_dup_pairs):
+        out = fn(ds, max_group=5).to_pandas()
+        assert sorted(zip(out.a, out.b)) == capped, fn.__name__
+        assert out.truncated.all(), fn.__name__
+
+
+def _types(ds):
+    s = ds.schema()
+    return dict(zip(s.names, s.types))
+
+
+def test_near_dup_pairs_typed_when_no_candidate():
+    # no two rows share a band key: the output keeps its columns
+    docs = _docs([(1, "alpha beta gamma delta"), (2, "one two three four five")])
+    assert _types(simhash_near_dup_pairs(docs, max_hamming=0)) == {
+        "a": pa.int64(), "b": pa.int64(), "truncated": pa.bool_(),
+        "hamming": pa.int64()}
+    vecs = rd.from_arrow(pa.table({
+        "vec_id": pa.array([1, 2], pa.int64()),
+        "embedding": pa.array([[1.0, 2.0, 3.0], [-1.0, -2.0, -3.0]]),
+    }))
+    assert _types(embedding_near_dup_pairs(vecs)) == {
+        "a": pa.int64(), "b": pa.int64(), "truncated": pa.bool_(),
+        "cosine": pa.float64()}
+
+
+def test_near_dup_empty_ids_follow_the_input_type():
+    # string doc ids and no pair: a and b stay strings in every family
+    named = rd.from_arrow(pa.table({
+        "doc_id": pa.array(["x", "y"], pa.string()),
+        "text": pa.array(["alpha beta gamma delta epsilon zeta eta",
+                          "one two three four five six seven"], pa.string()),
+    }))
+    for out in (minhash_near_dup_pairs(named), prefix_jaccard_join(named)):
+        types = _types(out)
+        assert types["a"] == types["b"] == pa.string()
+        assert out.count() == 0
+
+
+def test_near_dup_payload_fetch_same_on_both_plans(monkeypatch):
+    # a zero broadcast budget moves the semi join and both payload joins
+    # onto the bucketed shuffle; the pairs must not change
+    ds = _docs([(1, BASE), (2, BASE.replace("lazy", "sleepy")),
+                (3, "other words entirely " * 8), (4, BASE),
+                (5, BASE + " coda")]).repartition(3)
+
+    def run():
+        return {fn.__name__: sorted(tuple(r.values()) for r in fn(ds).take_all())
+                for fn in (minhash_near_dup_pairs, simhash_near_dup_pairs,
+                           prefix_jaccard_join)}
+
+    broadcast = run()
+    assert all(broadcast.values())
+    monkeypatch.setenv("GRAFT_BROADCAST_BUDGET", "0")
+    assert run() == broadcast
+
+
+def test_near_dup_exchange_budgets():
+    """Exchanges per call on a planted corpus: the two bucketed candidate
+    steps, and a payload fetch that broadcasts at this size."""
+    from perfbench.trace import ExecutorStats
+
+    ds = _docs([(1, BASE), (2, BASE.replace("lazy", "sleepy")),
+                (3, "other words entirely " * 8), (4, BASE)])
+    for fn in (minhash_near_dup_pairs, simhash_near_dup_pairs):
+        stats = ExecutorStats()
+        with stats:
+            got = {(r["a"], r["b"]) for r in fn(ds).take_all()}
+        assert (1, 4) in got, fn.__name__
+        assert stats.take()["exchanges"] <= 2, fn.__name__
 
 
 def test_ngram_jaccard_pairs_consecutive_and_grouped():

@@ -444,6 +444,26 @@ def test_adaptive_join_collision_suffix_matches_bucketed():
         assert got["deg_r"].tolist() == [70, 80]
 
 
+def test_adaptive_join_semi_same_rows_on_both_plans():
+    # broadcast (huge budget) and bucketed (budget 0) semi joins: each left
+    # row at most once however often its key repeats on the right, and a
+    # null key never matches
+    from code_graph_rag_ray.stages.relational import adaptive_join
+
+    left = rd.from_arrow(pa.table({
+        "k": pa.array([1, 2, 2, 3, None, 5], pa.int64()),
+        "v": pa.array([10, 20, 21, 30, 40, 2**53 + 1], pa.int64()),
+    })).repartition(2)
+    right = rd.from_arrow(pa.table({"k": pa.array([2, 2, 5, None, 7, 5],
+                                                  pa.int64())}))
+    for budget in (1 << 40, 0):
+        df = adaptive_join(left, right, on="k", how="semi",
+                           broadcast_budget_bytes=budget).to_pandas()
+        assert list(df.columns) == ["k", "v"], budget
+        assert sorted(zip(df["k"], df["v"])) == [
+            (2, 20), (2, 21), (5, 2**53 + 1)], budget
+
+
 def test_broadcast_cache_bytes_bound(ray_session, monkeypatch):
     """The concat cache evicts by ESTIMATED BYTES, not only entry count: a
     1-byte budget keeps at most one entry alive, a repeat side is a cache
