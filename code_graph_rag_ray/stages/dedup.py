@@ -382,6 +382,22 @@ def _lsh_pairs(rows: Dataset, band_cols: list[str], id_col: str,
     return bucketed_groups(cand, ["a", "b"], first_of_pair)
 
 
+def _pairs_or_typed_empty(out: Dataset, ds: Dataset, col: str,
+                          names: tuple[str, str], last: tuple) -> Dataset:
+    """``out``, or, when it holds no row, the empty table of ``names``
+    typed as ``ds[col]`` plus the ``last`` field: a map over an empty
+    dataset never calls its UDF, so an empty result would be schema-less."""
+    import ray.data as rd
+
+    from code_graph_rag_ray.stages.relational import _arrow_schema
+
+    out = out.materialize()
+    if out.count():
+        return out
+    t = _arrow_schema(ds).field(col).type
+    return rd.from_arrow(pa.schema([(n, t) for n in names] + [last]).empty_table())
+
+
 def _attach_pair_payload(pairs: Dataset, rows: Dataset, id_col: str,
                          verify) -> Dataset:
     """``verify`` over candidate pairs with both sides' payload attached.
@@ -559,7 +575,8 @@ def ngram_jaccard_pairs(
         return pa.table({"id_a": b["id_a"], "id_b": b["id_b"],
                          "jaccard": pa.array(js, pa.float64())})
 
-    return joined.map_batches(compute, batch_format="pyarrow")
+    return _pairs_or_typed_empty(joined.map_batches(compute, batch_format="pyarrow"),
+                                 ds, id_col, ("id_a", "id_b"), ("jaccard", pa.float64()))
 
 
 def exact_dup_clusters(ds: Dataset, *, id_col: str = "doc_id", text_col: str = "text") -> Dataset:
@@ -932,7 +949,7 @@ def editdist1_pairs(
                 out_k.append(s[:i] + s[i + 1:])
                 out_s.append(s)
         return pa.table({"key": pa.array(out_k, pa.string()),
-                         col: pa.array(out_s, pa.string())})
+                         col: pa.array(out_s, b[col].type)})
 
     # deletion keys are HIGH-cardinality (≈ length × distinct strings):
     # bucketed candidate generation, never per-key groups (NOTES fact 25)
@@ -945,7 +962,8 @@ def editdist1_pairs(
                       pa.bool_())
         return b.filter(ok)
 
-    return cand.map_batches(verify, batch_format="pyarrow")
+    return _pairs_or_typed_empty(cand.map_batches(verify, batch_format="pyarrow"),
+                                 ds, col, ("a", "b"), ("truncated", pa.bool_()))
 
 
 def prefix_jaccard_join(

@@ -8,9 +8,21 @@ exact qn → receiver-type chain → suffix fallback; registry
 - the **alias dictionary** is broadcast ONCE via ``ray.put`` and each
   :class:`MentionLinker` actor rehydrates it in ``__init__`` — never
   re-shipped per batch (SURVEY.md §2.3 T1 mapping),
-- mention **detection** is one compiled alternation regex (longest-alias
-  first, word-bounded) — compiled once per actor, the analog of cgr loading
-  tree-sitter parsers once per process (``parser_loader.py:482``),
+- mention **detection** takes one of two paths per page, both set up once
+  per actor, the analog of cgr loading tree-sitter parsers once per
+  process (``parser_loader.py:482``). The **batch kernel**
+  (:class:`_ExactKernel`) takes every page a gate proves exact-tier:
+  ASCII text with no ``[A-Z]`` (so no cap run, no unknown span) and no
+  marker byte, on which every matched alias has one candidate. One Arrow
+  RE2 pass per batch wraps each alias match in the marker byte and splits
+  the text into alternating gap and mention pieces; mentions resolve by
+  an alias-id ``index_in`` plus a ``take``, and pair by a per-lang
+  ``index_in`` of the trimmed gaps. The gate is ASCII-only because RE2's
+  ``\\b`` is ASCII while Python's str ``\\b`` is Unicode, and RE2 offsets
+  are bytes (NOTES fact 38). Every other page takes the **per-page path**
+  ``_link_page``: one compiled alternation regex (longest alias first,
+  word-bounded), the cap-run detector and the cascade below. Both paths
+  give the same rows, merged in (page, start) order,
 - the **cascade** (the analog of the reference's six-step resolver,
   ``parsers/call_resolver.py:297-318``): for dictionary aliases —
   unique candidate (exact qn) → page-local *suffix* recency antecedent
@@ -59,7 +71,9 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from code_graph_rag_ray.sources.pages import RELATIONS
 
@@ -159,6 +173,17 @@ class MentionLinker:
     ``alias_ref`` is a ``ray.ObjectRef`` to the alias table (broadcast once)
     or a plain ``pa.Table`` (tests). All setup — dictionary rehydration and
     regex compilation — happens here in ``__init__``, once per actor.
+
+    A batch takes two paths. The pages the gate proves exact-tier go
+    through the batch kernel (:class:`_ExactKernel`, one RE2 pass over all
+    of them); the rest go through ``_link_page`` one by one, unchanged.
+    The gate takes a page only if its text is ASCII (RE2's ``\\b`` and byte
+    offsets agree with Python's there), holds no ``[A-Z]`` (no cap run, so
+    no unknown span) and no marker byte, and every alias matched on it has
+    exactly one candidate. A linker whose ``_extra_spans`` adds spans (the
+    precise tier), an empty alias, or a pattern RE2 rejects sends every
+    page through ``_link_page``. No option switches the kernel: its rows
+    equal the per-page path's.
     """
 
     def __init__(
@@ -207,6 +232,16 @@ class MentionLinker:
         # semantics — and every oracle built on them — are unchanged
         self._rel_norm_by_lang: dict = {}
         self._rel_norm_default = None
+        # the batch kernel links the exact-tier pages; a linker that adds
+        # spans of its own (the precise tier) sends every page through
+        # ``_link_page``, and so does an empty alias (Python's regex then
+        # matches the empty string at every word boundary)
+        self._kernel = None
+        if type(self)._extra_spans is MentionLinker._extra_spans and "" not in self.index:
+            try:
+                self._kernel = _ExactKernel(self.index, self.relations, self._rel_by_lang)
+            except pa.ArrowInvalid:  # RE2 rejects the pattern (e.g. too large)
+                pass
 
     # -- detection hooks (overridden by the precise tier) -------------------
     def _extra_spans(
@@ -377,13 +412,32 @@ class MentionLinker:
             c_lang.append(lang)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        if self._kernel is None:
+            return self._link_pages(batch)[0]
+        fast, fast_pages, slow = self._kernel(batch)
+        if not len(slow):
+            return fast
+        rest, rows = self._link_pages(batch.take(slow))
+        if not fast.num_rows:
+            return rest
+        # each page's rows come from one path, in start order: a stable
+        # sort on the page index merges the two in (page, start) order
+        order = np.argsort(np.r_[fast_pages, np.repeat(slow, rows)], kind="stable")
+        return pa.concat_tables([fast, rest]).take(order)
+
+    def _link_pages(self, batch: pa.Table) -> tuple[pa.Table, np.ndarray]:
+        """The per-page path over every page of ``batch``: the mention
+        table and the number of rows each page emitted."""
         out = _Cols()
         urls = batch["url"].to_pylist()
         texts = batch["text"].to_pylist()
         langs = batch["lang"].to_pylist() if "lang" in batch.column_names else [None] * len(urls)
+        ends = []
+        c_url = out.cols[0]
         for url, text, lang in zip(urls, texts, langs):
             self._link_page(url, text or "", lang, out)
-        return out.to_table()
+            ends.append(len(c_url))
+        return out.to_table(), np.diff(np.array(ends, np.int64), prepend=0)
 
 
 class _Cols:
@@ -401,6 +455,121 @@ class _Cols:
             [pa.array(col, f.type) for col, f in zip(self.cols, MENTION_SCHEMA)],
             schema=MENTION_SCHEMA,
         )
+
+
+#: the byte the kernel wraps around every alias match
+_MARK = "\x01"
+#: a page holding one of these takes the per-page path: an uppercase
+#: letter may start a cap run, and a marker byte would split a piece
+_GATED = r"[A-Z\x01]"
+#: the ASCII characters ``str.strip()`` removes (``str.isspace()``);
+#: Arrow's ``ascii_trim_whitespace`` keeps ``\x1c``–``\x1f``
+_ASCII_SPACE = " \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f"
+
+
+def _re2_escape(alias: str) -> str:
+    """An ASCII alias as an RE2 literal: letters and digits as they are,
+    every other character as a ``\\xHH`` escape."""
+    return "".join(c if c.isalnum() else f"\\x{ord(c):02x}" for c in alias)
+
+
+def _utf8(col) -> pa.Array:
+    col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    return col if col.type == pa.string() else pc.cast(col, pa.string())
+
+
+class _ExactKernel:
+    """The batch path of :class:`MentionLinker`: one pass of Arrow compute
+    links and pairs every page of a batch that provably resolves on the
+    exact tier, and hands back the rest.
+
+    Built once per linker: the RE2 alternation of every alias that can
+    match a page passing the gate (ASCII, no uppercase letter, no marker;
+    longest first, as ``alias_re``), the alias → (ambiguous, first
+    candidate) arrays, and each relation table as a surface array plus
+    one predicate array for all tables. A pattern RE2 rejects raises
+    ``pa.ArrowInvalid`` here, once.
+    """
+
+    def __init__(self, index: dict, relations: dict[str, str],
+                 rel_by_lang: dict[str, dict[str, str]]):
+        live = sorted((a for a in index if a.isascii() and not re.search(_GATED, a)),
+                      key=len, reverse=True)
+        self.pattern = None
+        if live:
+            self.pattern = r"\b(?:" + "|".join(map(_re2_escape, live)) + r")\b"
+            pc.replace_substring_regex(pa.array([""]), self.pattern, "")
+        self.aliases = pa.array(live, pa.string())
+        self.ambiguous = np.array([len(index[a]) > 1 for a in live], bool)
+        self.eids = pa.array([index[a][0][0] for a in live], pa.string())
+        self.langs = pa.array(list(rel_by_lang), pa.string())
+        # per-lang tables first, the default table last; a None predicate
+        # pairs nothing, exactly like a missing surface
+        tables = [{s: p for s, p in t.items() if p is not None}
+                  for t in (*rel_by_lang.values(), relations)]
+        self.rel_keys = [pa.array(list(t), pa.string()) for t in tables]
+        self.preds = pa.array([p for t in tables for p in t.values()], pa.string())
+        self.pred_base = np.cumsum([0] + [len(t) for t in tables])[:-1]
+
+    def __call__(self, batch: pa.Table) -> tuple[pa.Table, np.ndarray, np.ndarray]:
+        """→ (the mention rows of the pages the kernel took, in (page,
+        start) order; the page of each row; the pages left over)."""
+        text = pc.fill_null(_utf8(batch["text"]), "")
+        ok = pc.and_(pc.string_is_ascii(text),
+                     pc.invert(pc.match_substring_regex(text, _GATED)))
+        ok = ok.to_numpy(zero_copy_only=False)
+        pages = np.flatnonzero(ok)
+        text = text.take(pages)
+        if self.pattern is not None:
+            text = pc.replace_substring_regex(text, self.pattern, _MARK + r"\0" + _MARK)
+        # alternating gap and mention pieces, 2k + 1 per page; ASCII, so
+        # byte lengths are character offsets
+        pieces = pc.split_pattern(text, _MARK)
+        n_pieces = pc.list_value_length(pieces).to_numpy()
+        flat = pieces.flatten()
+        lens = pc.binary_length(flat).to_numpy().astype(np.int64)
+        pos = np.cumsum(lens) - lens
+        ends = np.cumsum(n_pieces)
+        first = ends - n_pieces
+        page_of = np.repeat(np.arange(len(pages)), n_pieces)
+        m = np.flatnonzero((np.arange(len(flat)) - first[page_of]) & 1)
+        mp = page_of[m]
+        aid = pc.index_in(flat.take(m), self.aliases).to_numpy()
+        slow = np.flatnonzero(~ok)
+        bad = np.unique(mp[self.ambiguous[aid]])
+        if len(bad):
+            keep = ~np.isin(mp, bad)
+            m, mp, aid = m[keep], mp[keep], aid[keep]
+            slow = np.sort(np.r_[slow, pages[bad]])
+
+        # pairing: the trimmed gap before the next mention of the same
+        # page, looked up in the page's relation table
+        i = np.flatnonzero(m + 2 < ends[mp])
+        gaps = pc.ascii_trim(flat.take(m[i] + 1), _ASCII_SPACE)
+        lang = (_utf8(batch["lang"]).take(pages) if "lang" in batch.column_names
+                else pa.nulls(len(pages), pa.string()))
+        tid = pc.fill_null(pc.index_in(lang, self.langs), len(self.langs)).to_numpy()[mp[i]]
+        pred = np.full(len(m), -1, np.int64)
+        for t in np.unique(tid):
+            sel = np.flatnonzero(tid == t)
+            hit = pc.fill_null(pc.index_in(gaps.take(sel), self.rel_keys[t]), -1).to_numpy()
+            pred[i[sel]] = np.where(hit >= 0, hit + self.pred_base[t], -1)
+        obj = np.full(len(m), -1, np.int64)
+        paired = pred >= 0
+        obj[paired] = aid[np.flatnonzero(paired) + 1]
+
+        start = pos[m] - pos[first[mp]]
+        rows = pages[mp]
+        return pa.Table.from_arrays([
+            _utf8(batch["url"]).take(rows),
+            pa.array(start), pa.array(start + lens[m]),
+            flat.take(m),
+            self.eids.take(aid),
+            pa.repeat(pa.scalar("exact"), len(m)),
+            self.preds.take(pa.array(pred, mask=~paired)),
+            self.eids.take(pa.array(obj, mask=~paired)),
+            lang.take(mp),
+        ], schema=MENTION_SCHEMA), rows, slow
 
 
 _TOKEN = re.compile(r"[A-Za-z0-9]+")
@@ -616,8 +785,6 @@ def link_mentions_two_tier(
     materialize the input first if the scan is expensive enough that two
     passes matter.
     """
-    import pyarrow.compute as pc
-
     langs_arr = pa.array(sorted(precise_langs), pa.string())
 
     def precise_mask(b: pa.Table):
@@ -696,9 +863,6 @@ def mine_host_priors(
 
     Returns a Dataset with schema ``HOST_PRIOR_SCHEMA``.
     """
-    import numpy as np
-    import pyarrow.compute as pc
-
     from code_graph_rag_ray.stages.relational import (
         bucketed_groups,
         partial_groupby_sum,
@@ -809,8 +973,6 @@ def link_mentions_two_pass(
     priors_ds = mine_host_priors(pass1)
 
     def cap_local(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         if b.num_rows <= max_prior_rows:
             return b
         idx = pc.sort_indices(

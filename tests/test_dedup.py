@@ -161,6 +161,23 @@ def test_near_dup_pairs_typed_when_no_candidate():
         "cosine": pa.float64()}
 
 
+def test_unfetched_near_dup_pairs_typed_when_no_pair():
+    # the two families that fetch no payload: no name within one edit,
+    # no consecutive doc ids
+    from code_graph_rag_ray.stages.dedup import editdist1_pairs, ngram_jaccard_pairs
+
+    for t in (pa.string(), pa.large_string()):
+        names = rd.from_arrow(pa.table({"name": pa.array(["alpha", "zebra", "kilo"], t)}))
+        assert _types(editdist1_pairs(names)) == {
+            "a": t, "b": t, "truncated": pa.bool_()}
+    for t in (pa.int64(), pa.int32()):
+        docs = rd.from_arrow(pa.table({"doc_id": pa.array([1, 5], t),
+                                       "text": ["alpha beta gamma", "one two three"]}))
+        out = ngram_jaccard_pairs(docs)
+        assert _types(out) == {"id_a": t, "id_b": t, "jaccard": pa.float64()}
+        assert out.count() == 0
+
+
 def test_near_dup_empty_ids_follow_the_input_type():
     # string doc ids and no pair: a and b stay strings in every family
     named = rd.from_arrow(pa.table({
