@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,6 +155,24 @@ MENTION_SCHEMA = pa.schema(
 def normalize_surface(s: str) -> str:
     """Canonical surface form: casefold + whitespace collapse (A1 analog)."""
     return " ".join(s.casefold().split())
+
+
+def url_host(url: str) -> str:
+    """The host the host-prior tier keys a page by: the text after the
+    first ``://`` (any scheme, any case) up to the next ``/``; a URL with
+    no ``://`` keys by its text up to the first ``/``."""
+    i = url.find("://")
+    return (url[i + 3 :] if i >= 0 else url).split("/", 1)[0]
+
+
+#: :func:`url_host` as one RE2 replace over a column (the miner's side);
+#: ``(?s)`` because a URL may hold a newline, which RE2's ``.`` skips
+_HOST_RE = r"(?s)^(?:.*?://)?([^/]*).*$"
+
+
+def url_hosts(urls) -> pa.Array:
+    """:func:`url_host` of every URL of a string column, vectorized."""
+    return pc.replace_substring_regex(urls, pattern=_HOST_RE, replacement=r"\1")
 
 
 def build_alias_index(alias_tbl: pa.Table) -> dict[str, list[tuple[str, float]]]:
@@ -286,12 +305,7 @@ class MentionLinker:
         recent_acr: dict[str, str] = {}     # initials     -> entity_id
         seen: set[str] = set()              # entity ids resolved on this page
         host_prior = self.host_prior
-        host = ""
-        if host_prior:
-            # scheme://host/... → host (cheap string ops, once per page)
-            i0 = url.find("://")
-            rest = url[i0 + 3 :] if i0 >= 0 else url
-            host = rest.split("/", 1)[0]
+        host = url_host(url) if host_prior else ""
         n = len(spans)
         eids: list[str] = [""] * n
         methods: list[str] = [""] * n
@@ -662,50 +676,65 @@ class PreciseLinker(MentionLinker):
 # alternation regex) is built once per worker per alias table, exactly like
 # an actor's __init__ — but task pools reuse warm worker processes, so no
 # per-execution actor startup cost (measured: actor ramp was a fixed ~2-4s
-# per pipeline run)
-_LINKER_CACHE: dict[tuple, MentionLinker] = {}
+# per pipeline run). Keyed by table CONTENT, not by ObjectRef: every build
+# ``ray.put``s its tables afresh, and a ref key would build new linkers per
+# build. A small LRU, like ``functions/broadcast.py``'s: long-lived workers
+# serve many builds.
+_LINKER_CACHE: OrderedDict[tuple, MentionLinker] = OrderedDict()
+_MAX_LINKERS = 8
 
 
 def _table_content_key(tbl: pa.Table) -> tuple:
     """Content digest of a (dictionary-scale) table — plain tables must NOT
     be keyed by ``id()``: CPython reuses ids after GC, so a different alias
-    table could silently hit a stale cached linker."""
+    table could silently hit a stale cached linker. Slices share their
+    parent's buffers, so each column's offset and length count too."""
     import hashlib
 
-    h = hashlib.md5()
+    h = hashlib.md5(str(tbl.schema).encode())
     for batch in tbl.to_batches():
         for col in batch.columns:
+            h.update(b"%d:%d" % (col.offset, len(col)))
             for buf in col.buffers():
                 if buf is not None:
                     h.update(buf)
     return (tbl.num_rows, h.hexdigest())
 
 
+def _linker_key(alias_ref, relations, registry, host_prior_ref, linker_cls) -> tuple:
+    """The cache key of a linker: the content of its tables (fetched once,
+    on the driver) and its configuration."""
+    import ray
+
+    def content(ref):
+        if ref is None:
+            return None
+        return _table_content_key(ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref)
+
+    return (
+        content(alias_ref),
+        None if relations is None else tuple(sorted(relations.items())),
+        _registry_key(registry),
+        content(host_prior_ref),
+        f"{linker_cls.__module__}.{linker_cls.__qualname__}",
+    )
+
+
 def _cached_linker(
+    key: tuple,
     alias_ref,
     relations: dict[str, str] | None,
     registry: dict[str, ExtractorSpec] | None = None,
     host_prior_ref=None,
     linker_cls: type = MentionLinker,
 ) -> MentionLinker:
-    import ray
-
-    def _ref_key(ref):
-        if ref is None:
-            return None
-        return ref.hex() if isinstance(ref, ray.ObjectRef) else _table_content_key(ref)
-
-    key = (
-        _ref_key(alias_ref),
-        None if relations is None else tuple(sorted(relations.items())),
-        _registry_key(registry),
-        _ref_key(host_prior_ref),
-        linker_cls.__qualname__,
-    )
     linker = _LINKER_CACHE.get(key)
-    if linker is None:
-        linker = linker_cls(alias_ref, relations, registry, host_prior_ref)
-        _LINKER_CACHE[key] = linker
+    if linker is not None:
+        _LINKER_CACHE.move_to_end(key)
+        return linker
+    linker = _LINKER_CACHE[key] = linker_cls(alias_ref, relations, registry, host_prior_ref)
+    while len(_LINKER_CACHE) > _MAX_LINKERS:
+        _LINKER_CACHE.popitem(last=False)
     return linker
 
 
@@ -745,9 +774,11 @@ def link_mentions(
             num_cpus=1,
         )
 
+    key = _linker_key(alias_ref, relations, registry, host_prior_ref, linker_cls)
+
     def link(batch: pa.Table) -> pa.Table:
         return _cached_linker(
-            alias_ref, relations, registry, host_prior_ref, linker_cls
+            key, alias_ref, relations, registry, host_prior_ref, linker_cls
         )(batch)
 
     return pages_text_ds.map_batches(link, batch_format="pyarrow", batch_size=batch_size)
@@ -839,6 +870,14 @@ HOST_PRIOR_SCHEMA = pa.schema(
 )
 
 
+def _sum_counts(t: pa.Table) -> pa.Table:
+    """``t`` with ``n`` summed per (host, surface, entity_id)."""
+    g = t.group_by(["host", "surface", "entity_id"], use_threads=False).aggregate(
+        [("n", "sum")])
+    return pa.table([g["host"], g["surface"], g["entity_id"], g["n_sum"]],
+                    schema=HOST_PRIOR_SCHEMA)
+
+
 def mine_host_priors(
     mentions,
     *,
@@ -851,58 +890,33 @@ def mine_host_priors(
     how CONFIDENT cascade tiers resolved that surface across the host's
     pages, and keep the winner iff it has ``min_count`` sightings AND a
     strict margin over the runner-up (no-margin pairs stay unmined — an
-    ambiguous host signal must not override the global prior).
+    ambiguous host signal must not override the global prior). The host
+    is :func:`url_host`, the rule the linker looks priors up by.
 
-    Scale shape: batch-local Arrow combiner (one row per (host, surface,
-    entity) per block) → two-phase grouped sum → ONE
-    ``relational.bucketed_groups`` shuffle over the count table for the
-    vectorized winner/margin scan. Output is bounded by hosts ×
-    confidently-seen surfaces — dictionary-scale per host; at 100 TB cap
-    delivery with the broadcast budget (see
-    :func:`link_mentions_two_pass`).
+    Scale shape: a block-local Arrow combiner (one row per (host, surface,
+    entity) per block) feeds ONE ``relational.bucketed_groups`` shuffle
+    keyed by (host, surface). A (host, surface) group is whole inside its
+    bucket, so the bucket finish sums the partial counts per (host,
+    surface, entity) and scans for winners in one vectorized pass; no
+    separate grouped-sum exchange is needed. Output is bounded by hosts ×
+    confidently-seen surfaces — dictionary-scale per host; delivery caps
+    it with the broadcast budget (see :func:`link_mentions_two_pass`).
 
     Returns a Dataset with schema ``HOST_PRIOR_SCHEMA``.
     """
-    from code_graph_rag_ray.stages.relational import (
-        bucketed_groups,
-        partial_groupby_sum,
-        run_starts,
-    )
+    from code_graph_rag_ray.stages.relational import bucketed_groups, run_starts
 
     methods = pa.array(CONFIDENT_METHODS, pa.string())
 
     def partial(b: pa.Table) -> pa.Table:
         f = b.filter(pc.is_in(b["method"], value_set=methods))
-        if f.num_rows == 0:
-            return pa.table(
-                {"host": pa.array([], pa.string()),
-                 "surface": pa.array([], pa.string()),
-                 "entity_id": pa.array([], pa.string()),
-                 "one": pa.array([], pa.int64())}
-            )
-        # scheme://host/... → host, vectorized
-        host = pc.replace_substring_regex(
-            f["url"], pattern=r"^[a-z0-9+.-]+://([^/]*).*$", replacement=r"\1"
-        )
-        t = pa.table(
-            {"host": host, "surface": f["surface"],
-             "entity_id": f["entity_id"],
-             "one": pa.array(np.ones(f.num_rows, np.int64))}
-        )
-        g = pa.TableGroupBy(t, ["host", "surface", "entity_id"],
-                            use_threads=False).aggregate([("one", "sum")])
-        return pa.table(
-            {"host": g["host"], "surface": g["surface"],
-             "entity_id": g["entity_id"],
-             "one": pc.cast(g["one_sum"], pa.int64())}
-        )
-
-    counts = partial_groupby_sum(
-        mentions.map_batches(partial, batch_format="pyarrow"),
-        ["host", "surface", "entity_id"], {"one": "n"},
-    )
+        return _sum_counts(pa.table(
+            [url_hosts(f["url"]), f["surface"], f["entity_id"],
+             pa.array(np.ones(f.num_rows, np.int64))],
+            schema=HOST_PRIOR_SCHEMA))
 
     def winners(g: pa.Table) -> pa.Table:
+        g = _sum_counts(g)
         t = g.take(pc.sort_indices(
             g, sort_keys=[("host", "ascending"), ("surface", "ascending"),
                           ("n", "descending"), ("entity_id", "ascending")]
@@ -915,14 +929,63 @@ def mine_host_priors(
         has_runner = (nxt - idx) > 1
         runner_n = np.where(has_runner, n[np.minimum(idx + 1, len(n) - 1)], -1)
         keep = (n[idx] >= min_count) & (n[idx] > runner_n)
-        out = t.take(pa.array(idx[keep], pa.int64()))
-        return pa.table(
-            {"host": out["host"], "surface": out["surface"],
-             "entity_id": out["entity_id"], "n": out["n"]},
-            schema=HOST_PRIOR_SCHEMA,
-        )
+        return t.take(pa.array(idx[keep], pa.int64()))
 
-    return bucketed_groups(counts, ["host", "surface"], winners)
+    return bucketed_groups(mentions.map_batches(partial, batch_format="pyarrow"),
+                           ["host", "surface"], winners)
+
+
+#: the delivery order of the side table, most-evidenced first; (host,
+#: surface) is unique in it, so the order is total
+_PRIOR_ORDER = [("n", "descending"), ("host", "ascending"), ("surface", "ascending")]
+
+
+def _top_priors(t: pa.Table, k: int) -> pa.Table:
+    return t.take(pc.sort_indices(t, sort_keys=_PRIOR_ORDER)[:k])
+
+
+def _deliver_host_priors(priors, max_prior_rows: int) -> pa.Table:
+    """The mined side table on the driver: its ``max_prior_rows``
+    most-evidenced rows in ``_PRIOR_ORDER``, typed ``HOST_PRIOR_SCHEMA``
+    (also when nothing was mined).
+
+    Each bucket is capped right after its finish, so at most
+    ``max_prior_rows`` rows per bucket leave the cluster; a bucket that
+    drops rows appends one tally row (``entity_id`` null, ``n`` = rows
+    dropped; a mined row always has an entity) so the driver can say how
+    many priors the cap cost. The blocks are pulled as Arrow with
+    ``iter_batches``, which runs the plan once (``to_arrow_refs`` would
+    first probe the schema with a ``limit=1`` run of the whole mining
+    plan, NOTES fact 22); schema-less empty blocks are skipped.
+    """
+    k = max_prior_rows
+
+    def cap(b: pa.Table) -> pa.Table:
+        if b.num_rows <= k:
+            return b
+        tally = pa.table([[None], [None], [None], [b.num_rows - k]], schema=HOST_PRIOR_SCHEMA)
+        return pa.concat_tables([_top_priors(b, k), tally])
+
+    blocks = [
+        b.cast(HOST_PRIOR_SCHEMA)
+        for b in priors.map_batches(cap, batch_format="pyarrow", batch_size=None)
+        .iter_batches(batch_format="pyarrow", batch_size=None)
+        if b.num_rows
+    ]
+    tbl = pa.concat_tables(blocks) if blocks else HOST_PRIOR_SCHEMA.empty_table()
+    tally = pc.is_null(tbl["entity_id"])
+    dropped = pc.sum(tbl["n"].filter(tally)).as_py() or 0
+    tbl = tbl.filter(pc.invert(tally))
+    out = _top_priors(tbl, k)
+    dropped += tbl.num_rows - out.num_rows
+    if dropped:
+        import logging
+
+        logging.getLogger(__name__).warning(
+            "host-prior table over max_prior_rows=%d: dropped the %d "
+            "least-attested priors (raise the cap or min_count)", k, dropped,
+        )
+    return out
 
 
 def link_mentions_two_pass(
@@ -941,13 +1004,16 @@ def link_mentions_two_pass(
     2 re-links with that table as a SECOND broadcast consulted after every
     page-local signal.
 
-    Delivery is a driver-side table → ``ray.put`` broadcast, so its size
-    must stay within the broadcast budget: the table is bounded by hosts ×
-    confidently-evidenced surfaces, and ``max_prior_rows`` enforces a hard
-    cap by keeping the most-evidenced rows (deterministic order: n desc,
-    host, surface) and logging the truncation — the degrade mode loses the
-    least-attested priors first, never correctness (an unmined pair simply
-    falls back to pass-1 behavior).
+    Delivery: the mined table's buckets are capped in the cluster and
+    pulled to the driver as Arrow blocks, concatenated, capped again and
+    ``ray.put`` as the broadcast — the mining plan runs once and pays one
+    exchange. Its size must stay within the broadcast budget: the table is
+    bounded by hosts × confidently-evidenced surfaces, and
+    ``max_prior_rows`` enforces a hard cap by keeping the most-evidenced
+    rows (deterministic order: n desc, host, surface) and logging how many
+    were dropped — the degrade mode loses the least-attested priors first,
+    never correctness (an unmined pair simply falls back to pass-1
+    behavior).
 
     Cost model: the corpus is scanned twice (the reference pays the same
     shape — its pass 2 re-walks every AST with the registry built by pass
@@ -969,33 +1035,5 @@ def link_mentions_two_pass(
             host_prior_ref=host_prior_ref,
         )
 
-    pass1 = _link()
-    priors_ds = mine_host_priors(pass1)
-
-    def cap_local(b: pa.Table) -> pa.Table:
-        if b.num_rows <= max_prior_rows:
-            return b
-        idx = pc.sort_indices(
-            b, sort_keys=[("n", "descending"), ("host", "ascending"),
-                          ("surface", "ascending")]
-        )[:max_prior_rows]
-        return b.take(idx)
-
-    capped = (
-        priors_ds.map_batches(cap_local, batch_format="pyarrow")
-        .repartition(1)
-        .map_batches(cap_local, batch_format="pyarrow", batch_size=None)
-    )
-    # take_all, not to_arrow_refs: the latter issues a schema probe
-    # (limit=1 plan) that EXECUTES the whole mining pipeline a second time
-    # and races Ray 2.49's limit-cancellation refcount bug (NOTES fact 22)
-    tbl = pa.Table.from_pylist(capped.take_all(), schema=HOST_PRIOR_SCHEMA)
-    if tbl.num_rows >= max_prior_rows:
-        import logging
-
-        logging.getLogger(__name__).warning(
-            "host-prior table hit max_prior_rows=%d — least-attested priors "
-            "dropped (raise the cap or min_count)", max_prior_rows,
-        )
-    hp_ref = ray.put(tbl)
-    return _link(host_prior_ref=hp_ref)
+    tbl = _deliver_host_priors(mine_host_priors(_link()), max_prior_rows)
+    return _link(host_prior_ref=ray.put(tbl))

@@ -9,7 +9,10 @@ assertions — plus the incremental-equivalence probe
 from __future__ import annotations
 
 import pyarrow as pa
+import ray
 import ray.data as rd
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from code_graph_rag_ray.functions.scoring import score_sets
 from code_graph_rag_ray.pipelines.kg import build_kg, materialize_kg
@@ -355,31 +358,37 @@ def test_cascade_host_prior_tier():
     assert out5[out5.surface == "Titan"].iloc[0].method == "host_prior"
 
 
+def _mention_rows(plants) -> pa.Table:
+    """Mention rows for the miner: ``n`` copies of each (url, surface,
+    entity_id, method) plant."""
+    from code_graph_rag_ray.stages.linking import MENTION_SCHEMA
+
+    return pa.Table.from_pylist(
+        [{"url": url, "start": 0, "end": 1, "surface": surface,
+          "entity_id": eid, "method": method, "rel": None,
+          "obj_entity_id": None, "lang": "en"}
+         for url, surface, eid, method, n in plants for _ in range(n)],
+        schema=MENTION_SCHEMA)
+
+
+#: the mining rule's cases, one line each
+_RULE_PLANTS = [
+    ("https://h1.com/a", "Systems", "EA", "recency", 3),
+    ("https://h1.com/b", "Systems", "EB", "recency", 1),   # margin holds
+    ("https://h1.com/c", "AS", "EA", "acronym", 2),
+    ("https://h2.com/a", "Systems", "EA", "recency", 2),
+    ("https://h2.com/b", "Systems", "EB", "recency", 2),   # tie → unmined
+    ("https://h3.com/a", "Systems", "EA", "recency", 1),   # < min_count
+    ("https://h4.com/a", "Systems", "EA", "prior", 5),     # not confident
+]
+
+
 def test_mine_host_priors_rule(ray_session):
     """Mining rule: confident methods only, min_count floor, strict margin,
     deterministic winner, block-layout invariance."""
-    import pyarrow as pa
-    import ray.data as rd
+    from code_graph_rag_ray.stages.linking import mine_host_priors
 
-    from code_graph_rag_ray.stages.linking import MENTION_SCHEMA, mine_host_priors
-
-    rows = []
-
-    def add(url, surface, eid, method, n=1):
-        for _ in range(n):
-            rows.append({"url": url, "start": 0, "end": 1, "surface": surface,
-                         "entity_id": eid, "method": method, "rel": None,
-                         "obj_entity_id": None, "lang": "en"})
-
-    add("https://h1.com/a", "Systems", "EA", "recency", 3)
-    add("https://h1.com/b", "Systems", "EB", "recency", 1)   # margin holds
-    add("https://h1.com/c", "AS", "EA", "acronym", 2)
-    add("https://h2.com/a", "Systems", "EA", "recency", 2)
-    add("https://h2.com/b", "Systems", "EB", "recency", 2)   # tie → unmined
-    add("https://h3.com/a", "Systems", "EA", "recency", 1)   # < min_count
-    add("https://h4.com/a", "Systems", "EA", "prior", 5)     # not confident
-
-    tbl = pa.Table.from_pylist(rows, schema=MENTION_SCHEMA)
+    tbl = _mention_rows(_RULE_PLANTS)
     out = (mine_host_priors(rd.from_arrow(tbl).repartition(5))
            .to_pandas().sort_values(["host", "surface"]).reset_index(drop=True))
     assert set(map(tuple, out[["host", "surface", "entity_id"]]
@@ -388,6 +397,154 @@ def test_mine_host_priors_rule(ray_session):
     out2 = (mine_host_priors(rd.from_arrow(tbl).repartition(11))
             .to_pandas().sort_values(["host", "surface"]).reset_index(drop=True))
     assert out.equals(out2)
+
+
+def test_host_prior_exchange_budgets(pages_fixture):
+    """Mining pays one exchange (the bucketed finish), and so does the
+    whole two-pass build: the side table reaches the driver without a
+    grouped-sum shuffle or a repartition."""
+    from code_graph_rag_ray.stages.linking import mine_host_priors
+    from perfbench.trace import ExecutorStats
+
+    rows = rd.from_arrow(_mention_rows(_RULE_PLANTS)).repartition(5).materialize()
+    stats = ExecutorStats()
+    with stats:
+        assert len(mine_host_priors(rows).take_all()) == 2
+    assert stats.take()["exchanges"] == 1
+
+    fx, fx_dir = pages_fixture
+    with stats:
+        kg = build_kg(rd.read_parquet(f"{fx_dir}/pages.parquet"), fx.alias_dict,
+                      host_priors=True, build_nodes=False)
+        edges = kg["edges"].to_pandas()
+    assert score_sets(_edge_set(edges), _gold_set(fx)).recall == 1.0
+    assert stats.take()["exchanges"] <= 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(["://", "/", ":", "HTTP", "https", "\n", "é"]),
+                          st.text(max_size=4)), max_size=8).map("".join))
+def test_url_host_rule_parity(url):
+    """The miner's Arrow host rule and the linker's Python one agree on
+    every URL: any scheme case, no scheme, several ``://``, newlines."""
+    from code_graph_rag_ray.stages.linking import url_host, url_hosts
+
+    assert url_hosts(pa.array([url], pa.string())).to_pylist() == [url_host(url)]
+
+
+_TITAN_ALIASES = pa.table({"alias": ["Titan Labs", "Orbit Media"],
+                           "entity_id": ["EB", "E2"], "prior": [1.0, 1.0]})
+
+
+def _pages(texts: dict[str, str]) -> rd.Dataset:
+    """Pages with both the text the linker reads and the HTML ``build_kg``
+    extracts it from."""
+    import datetime
+
+    return rd.from_arrow(pa.table({
+        "url": list(texts), "text": list(texts.values()),
+        "html": [f"<html><body><p>{t}</p></body></html>".encode() for t in texts.values()],
+        "warc_ts": [datetime.datetime(2024, 1, 1)] * len(texts),
+        "lang": ["en"] * len(texts)}))
+
+
+def test_linker_cache_is_content_keyed_and_bounded(monkeypatch):
+    """Each build ``ray.put``s its tables afresh; the worker's linker cache
+    keys by their content, so a rebuilt broadcast of the same table hits
+    it, while tables sharing buffers at other offsets do not. The cache
+    holds at most ``_MAX_LINKERS`` linkers."""
+    from collections import OrderedDict
+
+    from code_graph_rag_ray.stages import linking
+
+    def key(alias):
+        return linking._linker_key(alias, None, None, None, linking.MentionLinker)
+
+    assert len({key(ray.put(_TITAN_ALIASES)) for _ in range(3)}) == 1
+    assert key(_TITAN_ALIASES.slice(0, 1)) != key(_TITAN_ALIASES.slice(1, 1))
+
+    monkeypatch.setattr(linking, "_LINKER_CACHE", OrderedDict())
+    for i in range(linking._MAX_LINKERS + 3):
+        alias = pa.table({"alias": [f"A{i}"], "entity_id": ["E"], "prior": [1.0]})
+        first = linking._cached_linker(key(alias), alias, None)
+        assert linking._cached_linker(key(alias), alias, None) is first
+    assert len(linking._LINKER_CACHE) == linking._MAX_LINKERS
+
+
+def test_upper_case_scheme_pages_feed_host_priors():
+    """Pages whose scheme is upper-case are mined under the host the
+    linker looks up: two pages resolve 'Titan' by page context, and a
+    third page of the same host resolves it by the host prior."""
+    from code_graph_rag_ray.stages.linking import link_mentions_two_pass
+
+    ctx = "Titan Labs acquired Orbit Media . Titan sued Orbit Media ."
+    pages = _pages({"HTTP://Example.com/1": ctx, "Https://Example.com/2": ctx,
+                    "HTTPS://Example.com/3": "Titan acquired Orbit Media ."})
+    out = link_mentions_two_pass(pages, ray.put(_TITAN_ALIASES)).to_pandas()
+    hit = out[(out.url == "HTTPS://Example.com/3") & (out.surface == "Titan")]
+    assert list(zip(hit.entity_id, hit.method)) == [("EB", "host_prior")]
+
+
+def test_max_prior_rows_keeps_the_top_rows(caplog):
+    """A small cap keeps the most-evidenced rows in (n desc, host, surface)
+    order whatever the input's block layout, and the warning counts the
+    rows it dropped; a cap the table fits exactly drops and warns
+    nothing."""
+    import logging
+
+    from code_graph_rag_ray.stages.linking import (
+        HOST_PRIOR_SCHEMA,
+        _deliver_host_priors,
+        mine_host_priors,
+    )
+
+    plants = [(f"https://h{i}.com/{j}", f"S{j}", f"E{i % 3}", "exact",
+               2 + (7 * i + 3 * j) % 5) for i in range(40) for j in range(5)]
+    tbl = _mention_rows(plants)
+    full = pa.Table.from_pylist(
+        sorted(({"host": url.split("/")[2], "surface": surface, "entity_id": eid, "n": n}
+                for url, surface, eid, _, n in plants),
+               key=lambda r: (-r["n"], r["host"], r["surface"])),
+        schema=HOST_PRIOR_SCHEMA)
+    for k in (2, 37, 200):
+        for parts in (5, 11):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, "code_graph_rag_ray.stages.linking"):
+                got = _deliver_host_priors(
+                    mine_host_priors(rd.from_arrow(tbl).repartition(parts)), k)
+            assert got.equals(full.slice(0, k)), (k, parts)
+            warned = [r.getMessage() for r in caplog.records]
+            assert warned == ([f"host-prior table over max_prior_rows={k}: dropped the "
+                               f"{200 - k} least-attested priors (raise the cap or "
+                               f"min_count)"] if k < 200 else []), (k, parts)
+
+
+def test_no_confident_resolution_gives_typed_empty_table():
+    """A corpus resolved only by the global prior and External minting
+    mines nothing: the side table is the typed empty table, and the
+    two-pass build's edges equal the single-pass build's."""
+    from code_graph_rag_ray.stages.linking import (
+        HOST_PRIOR_SCHEMA,
+        _deliver_host_priors,
+        link_mentions,
+        mine_host_priors,
+    )
+
+    alias = pa.table({"alias": ["Titan", "Titan", "Nova", "Nova"],
+                      "entity_id": ["EA", "EB", "N1", "N2"],
+                      "prior": [0.9, 0.1, 0.6, 0.4]})
+    texts = {f"https://h{i % 2}.com/{i}": s for i, s in enumerate(
+        ["Titan acquired Nova .", "Nova sued Ghost Corp .",
+         "Ghost Corp founded Titan .", "Titan partnered with Nova ."])}
+    mentions = link_mentions(_pages(texts), ray.put(alias)).materialize()
+    assert set(mentions.to_pandas().method) == {"prior", "external"}
+    got = _deliver_host_priors(mine_host_priors(mentions), 1_000_000)
+    assert got.schema == HOST_PRIOR_SCHEMA and got.num_rows == 0
+
+    two = build_kg(_pages(texts), alias, host_priors=True, build_nodes=False)
+    one = build_kg(_pages(texts), alias, host_priors=False, build_nodes=False)
+    edges = _edge_set(two["edges"].to_pandas())
+    assert edges and edges == _edge_set(one["edges"].to_pandas())
 
 
 def test_fixture_plants_exercise_new_cascade_steps(pages_fixture, kg_run):
