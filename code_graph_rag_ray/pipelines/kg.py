@@ -324,7 +324,9 @@ def materialize_kg(kg: dict, out_dir: str, *, num_partitions: int = 16) -> dict:
         kg["nodes"], nodes_dir, key="entity_id", sort_by=["entity_id"],
         num_partitions=num_partitions,
     )
+    # both writes succeeded, so zero-row partitions are complete too: the
+    # manifests list all ``num_partitions``, which ``query_edges`` checks
     return {
-        "edges": partition_manifest(edges_dir),
-        "nodes": partition_manifest(nodes_dir),
+        "edges": partition_manifest(edges_dir, expected=num_partitions),
+        "nodes": partition_manifest(nodes_dir, expected=num_partitions),
     }

@@ -97,7 +97,11 @@ def diff_materialized(a_dir: str, b_dir: str, *, on: list[str]) -> Dataset:
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    from code_graph_rag_ray.state.lineage import partition_digests, read_manifest
+    from code_graph_rag_ray.state.lineage import (
+        parquet_files,
+        partition_digests,
+        read_manifest,
+    )
 
     da, db = partition_digests(a_dir), partition_digests(b_dir)
     ma, mb = read_manifest(a_dir), read_manifest(b_dir)
@@ -115,16 +119,11 @@ def diff_materialized(a_dir: str, b_dir: str, *, on: list[str]) -> Dataset:
         return rd.from_arrow(out_schema.empty_table())
 
     def read_part(root: str, part: str) -> pa.Table:
-        pdir = os.path.join(root, part)
-        if not os.path.isdir(pdir):
+        tabs = [pq.read_table(f, columns=on)
+                for f in parquet_files(os.path.join(root, part))]
+        if not tabs:
             return pa.schema([(c, pa.string()) for c in on]).empty_table()
-        tabs = [
-            pq.read_table(os.path.join(pdir, f), columns=on)
-            for f in sorted(os.listdir(pdir)) if f.endswith(".parquet")
-        ]
-        t = pa.concat_tables(tabs) if tabs else None
-        if t is None:
-            return pa.schema([(c, pa.string()) for c in on]).empty_table()
+        t = pa.concat_tables(tabs)
         return pa.table({c: pc.cast(t[c], pa.string()) for c in on})
 
     def mint(t: pa.Table):

@@ -9,12 +9,17 @@ signature) become explicit dataset operators here:
   then one groupby shuffle on the key with a deterministic per-group pick
   (sorted by the full key, first row wins — order-free determinism, the
   SURVEY.md §7 "tie-breaks must not depend on arrival order" rule).
-- :func:`materialize_graph` — adds ``part = crc32(subj) % P``, sorts within
-  each hash partition, writes hive-partitioned parquet (one directory per
-  partition, resumable layout) — the north-star final stage.
+- :func:`materialize_graph` — adds ``part = stable_hash(subj) % P`` and
+  writes each hash partition as ONE sorted parquet file,
+  ``part=K/data.parquet`` (resumable layout) — the north-star final stage.
+  The task that writes a partition also returns its row count and content
+  digest, so the manifest and the checkpoint diff never re-read the data.
 """
 
 from __future__ import annotations
+
+import os
+import uuid
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -128,20 +133,42 @@ def add_partition_column(ds: Dataset, key: str, num_partitions: int, col: str = 
     return ds.map_batches(add, batch_format="pyarrow")
 
 
-def write_sorted_partitions(parted: Dataset, out_dir: str, sort_by: list[str]) -> None:
-    """Write ``parted`` hive-partitioned by its ``part`` column, each
-    partition sorted by ``sort_by`` — in Arrow, so column types reach the
-    files unchanged. The partition groupby is the only all-to-all."""
+def write_sorted_partitions(parted: Dataset, out_dir: str,
+                            sort_by: list[str]) -> dict[str, tuple[int, str]]:
+    """Write each ``part`` group of ``parted`` as one parquet file,
+    ``out_dir/part=K/data.parquet``, sorted by ``sort_by`` in Arrow so
+    column types reach the file unchanged (``part`` itself lives only in
+    the directory name).
+
+    The writing task lands the file through a hidden tmp name and
+    ``os.replace``, so a retried task overwrites its partition's file
+    instead of adding a second one, and it digests the table it just
+    wrote (``state.lineage._digest_table``, cast to the file's own schema
+    so the digest equals a read-back's). Returns ``{"part=K": (rows,
+    digest)}`` for every partition written. The partition groupby is the
+    only all-to-all."""
     order = [(c, "ascending") for c in sort_by]
 
-    def sort_part(t: pa.Table) -> pa.Table:
-        return t.take(pc.sort_indices(t, sort_keys=order))
+    def write_part(t: pa.Table) -> pa.Table:
+        import pyarrow.parquet as pq
 
-    (
-        parted.groupby("part")
-        .map_groups(sort_part, batch_format="pyarrow")
-        .write_parquet(out_dir, partition_cols=["part"])
-    )
+        from code_graph_rag_ray.state.lineage import _digest_table
+
+        part = t["part"][0].as_py()
+        t = t.drop_columns(["part"])
+        t = t.take(pc.sort_indices(t, sort_keys=order))
+        pdir = os.path.join(out_dir, f"part={part}")
+        os.makedirs(pdir, exist_ok=True)
+        tmp = os.path.join(pdir, f".data.parquet.{uuid.uuid4().hex}.tmp")
+        pq.write_table(t, tmp)
+        digest = _digest_table(t.cast(pq.read_schema(tmp)))
+        os.replace(tmp, os.path.join(pdir, "data.parquet"))
+        return pa.table({"part": pa.array([part], pa.int32()),
+                         "rows": pa.array([t.num_rows], pa.int64()),
+                         "digest": pa.array([digest], pa.string())})
+
+    written = parted.groupby("part").map_groups(write_part, batch_format="pyarrow")
+    return {f"part={r['part']}": (r["rows"], r["digest"]) for r in written.take_all()}
 
 
 def materialize_graph(
@@ -152,11 +179,12 @@ def materialize_graph(
     sort_by: list[str],
     num_partitions: int = 16,
 ) -> None:
-    """Write ``ds`` hive-partitioned by ``crc32(key) % num_partitions``,
+    """Write ``ds`` hive-partitioned by ``stable_hash(key) % num_partitions``,
     sorted by ``sort_by`` within each partition.
 
-    One directory per hash partition (``part=K/``) → a failed run skips
-    finished partitions on resume; never one giant file.
+    One directory and one file per non-empty hash partition
+    (``part=K/data.parquet``) → a failed run skips finished partitions on
+    resume; never one giant file.
     """
     write_sorted_partitions(add_partition_column(ds, key, num_partitions),
                             out_dir, sort_by)

@@ -20,8 +20,10 @@ import json
 import os
 import shutil
 from collections.abc import Callable
+from typing import TYPE_CHECKING
 
-from ray.data import Dataset
+if TYPE_CHECKING:
+    from ray.data import Dataset
 
 MANIFEST = "_MANIFEST.json"
 
@@ -120,7 +122,7 @@ def resume_materialize(
     """Partition-level resumable materialize (north-star lineage semantics).
 
     Layout: one hive directory per hash partition (``part=K/``) plus a
-    manifest of completed partitions. On rerun:
+    manifest of completed partitions and their digests. On rerun:
 
     1. partitions listed complete in the manifest are SKIPPED — their rows
        are filtered out before the shuffle, so finished work costs nothing,
@@ -128,8 +130,11 @@ def resume_materialize(
        before rewriting — no double-counted partial files,
     3. the manifest is rewritten only after the new partitions land
        (re-derive, never mutate — cgr's incremental==clean invariant,
-       ``evals/README.md:133-175``), keeping the cached digests of the
-       skipped partitions, whose data did not change.
+       ``evals/README.md:133-175``). It records the rows and digests the
+       write tasks returned, ``"0:0"`` for zero-row partitions, and the
+       prior rows and cached digests of the skipped partitions, whose data
+       did not change — so :func:`partition_digests` right after it reads
+       nothing.
 
     Returns the final manifest dict.
     """
@@ -151,12 +156,18 @@ def resume_materialize(
             if int(name.split("=")[1]) not in done:
                 shutil.rmtree(pdir)
 
-    def finish() -> dict:
-        man = _count_partitions(out_dir, expected=num_partitions)
-        kept = {p: d for p, d in (prior.get("digests") or {}).items()
-                if int(p.split("=")[1]) in done}
-        if kept:
-            man["digests"] = kept
+    def finish(written: dict[str, tuple[int, str]]) -> dict:
+        parts = dict(prior.get("partitions", {}))
+        digests = {p: d for p, d in (prior.get("digests") or {}).items()
+                   if p in parts}
+        for p, (n, d) in written.items():
+            parts[p], digests[p] = n, d
+        for k in range(num_partitions):
+            if parts.setdefault(f"part={k}", 0) == 0:
+                digests[f"part={k}"] = "0:0"
+        man = {"partitions": dict(sorted(parts.items())),
+               "rows": int(sum(parts.values())),
+               "digests": dict(sorted(digests.items()))}
         _write_manifest(out_dir, man)
         return man
 
@@ -164,7 +175,7 @@ def resume_materialize(
         # fully resumed: every partition (including zero-row ones — the
         # manifest records those too) is complete, so the upstream pipeline
         # never executes at all.
-        return finish()
+        return finish({})
 
     parted = add_partition_column(ds, key, num_partitions)
     if done:
@@ -179,28 +190,33 @@ def resume_materialize(
 
     # stream straight into the partitioned write — ONE execution of the
     # upstream pipeline, no terminal materialize (an all-empty remainder
-    # writes nothing, which Ray handles fine).
-    write_sorted_partitions(parted, out_dir, sort_by)
-    return finish()
+    # writes nothing and returns no partition).
+    return finish(write_sorted_partitions(parted, out_dir, sort_by))
 
 
 def partition_digests(out_dir: str) -> dict[str, str]:
-    """Order-insensitive content digest per completed partition, CACHED in
+    """Order-insensitive content digest per completed partition, kept in
     the manifest: "<rows>:<hex>" where hex = mod-2^64 sum of stable row
-    hashes over every column (sorted by name). Computed lazily by ONE read
-    of each partition the first time it's requested, then persisted — so a
+    hashes over every column (sorted by name) — :func:`_digest_table`. A
     checkpoint diff (`stages/diff.py diff_materialized`) prunes unchanged
     partitions on manifest equality alone, reading no data for them.
+
+    :func:`resume_materialize` records every partition's digest from the
+    task that wrote it, so right after it this returns the manifest's
+    digests without a data read or a task. Only a store written without
+    them (an older writer, or a manifest from :func:`partition_manifest`)
+    has its missing digests computed here, by ONE read of each such
+    partition, then persisted.
 
     The digest is content-derived and order-insensitive (sum of per-row
     hashes), so it is stable across rewrite ordering, file naming and
     parquet encoder metadata — the properties a bytes-level file hash
     would NOT have.
 
-    Scale shape: hashing runs as ONE RAY TASK PER PARTITION (data is read
-    and folded inside the task; the driver collects only (name, digest)
-    pairs). Falls back to in-process hashing when no Ray session exists —
-    a digest must also be computable from plain tooling."""
+    Scale shape of the lazy path: ONE RAY TASK PER PARTITION (data is
+    read and folded inside the task; the driver collects only (name,
+    digest) pairs). Falls back to in-process hashing when no Ray session
+    exists — a digest must also be computable from plain tooling."""
     man = read_manifest(out_dir) or partition_manifest(out_dir)
     digests: dict[str, str] = dict(man.get("digests") or {})
     if set(digests) == set(man.get("partitions", {})):
@@ -238,28 +254,54 @@ def partition_digests(out_dir: str) -> dict[str, str]:
 
 
 def _digest_partition_dir(pdir: str) -> str:
-    """"<rows>:<hex mod-2^64 row-hash sum>" of one partition directory —
-    pure function of row content (see partition_digests)."""
+    """:func:`_digest_table` of one partition directory's rows — pure
+    function of row content (see partition_digests)."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    files = parquet_files(pdir)
+    if not files:
+        return "0:0"
+    return _digest_table(pa.concat_tables([pq.read_table(f) for f in files],
+                                          promote_options="permissive"))
+
+
+def _digest_table(t) -> str:
+    """"<rows>:<hex mod-2^64 row-hash sum>" of a table without its
+    ``part`` column: each row's columns, sorted by name, cast to string
+    (null → ``"\\x00null"``), ``\\x1f``-joined and hashed with
+    ``stable_hash_array``. The one digest code path: the partition writer
+    digests the table it wrote, :func:`_digest_partition_dir` the files it
+    reads back."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
-    import pyarrow.parquet as pq
 
     from code_graph_rag_ray.functions.hashing import stable_hash_array
 
-    total = np.uint64(0)
-    n = 0
-    for f in sorted(f for f in os.listdir(pdir) if f.endswith(".parquet")):
-        t = pq.read_table(os.path.join(pdir, f))
-        t = t.drop_columns([c for c in t.column_names if c == "part"])
-        cols = [pc.fill_null(pc.cast(t[c], pa.string()), "\x00null")
-                for c in sorted(t.column_names)]
-        joined = cols[0] if len(cols) == 1 else (
-            pc.binary_join_element_wise(*cols, "\x1f"))
-        with np.errstate(over="ignore"):
-            total = total + stable_hash_array(joined).sum(dtype=np.uint64)
-        n += t.num_rows
-    return f"{n}:{int(total):x}"
+    t = t.drop_columns([c for c in t.column_names if c == "part"])
+    if t.num_rows == 0:
+        return "0:0"
+    cols = [pc.fill_null(pc.cast(t[c], pa.string()), "\x00null")
+            for c in sorted(t.column_names)]
+    joined = cols[0] if len(cols) == 1 else (
+        pc.binary_join_element_wise(*cols, "\x1f"))
+    with np.errstate(over="ignore"):
+        total = stable_hash_array(joined).sum(dtype=np.uint64)
+    return f"{t.num_rows}:{int(total):x}"
+
+
+def parquet_files(path: str) -> list[str]:
+    """The parquet data files under ``path``, sorted, descending into
+    subdirectories and skipping every name that starts with ``_`` or
+    ``.`` (manifests, in-flight tmp files): the files a ``pyarrow.dataset``
+    discovery of ``path`` reads."""
+    out = []
+    for root, dirs, files in os.walk(path):
+        dirs[:] = sorted(d for d in dirs if not d.startswith(("_", ".")))
+        out.extend(os.path.join(root, f) for f in sorted(files)
+                   if f.endswith(".parquet") and not f.startswith(("_", ".")))
+    return out
 
 
 def partition_manifest(out_dir: str, *, expected: int | None = None) -> dict:
@@ -285,11 +327,8 @@ def _count_partitions(out_dir: str, *, expected: int | None = None) -> dict:
         pdir = os.path.join(out_dir, name)
         if not (os.path.isdir(pdir) and "=" in name):
             continue
-        n = 0
-        for f in os.listdir(pdir):
-            if f.endswith(".parquet"):
-                n += pq.read_metadata(os.path.join(pdir, f)).num_rows
-        parts[name] = n
+        parts[name] = sum(pq.read_metadata(f).num_rows
+                          for f in parquet_files(pdir))
     if expected is not None:
         for k in range(expected):
             parts.setdefault(f"part={k}", 0)

@@ -131,7 +131,10 @@ def test_manifest_dump_failure_leaves_prior_manifest(tmp_path, monkeypatch):
     out = str(tmp_path / "g")
     resume_materialize(_edges(100), out, key="subj", sort_by=["subj", "obj"],
                        num_partitions=4)
+    # a digest-less manifest, so partition_digests has digests to compute
+    partition_manifest(out)
     prior = read_manifest(out)
+    assert "digests" not in prior
 
     class HalfJson:
         load = staticmethod(json.load)
@@ -144,6 +147,9 @@ def test_manifest_dump_failure_leaves_prior_manifest(tmp_path, monkeypatch):
     monkeypatch.setattr(lineage, "json", HalfJson)
     for write in (lambda: lineage.partition_digests(out),
                   lambda: partition_manifest(out),
+                  lambda: resume_materialize(_edges(100), out, key="subj",
+                                             sort_by=["subj", "obj"],
+                                             num_partitions=4),
                   lambda: lineage.Checkpointer(str(tmp_path / "ck")).stage(
                       "s", lambda: _edges(10))):
         try:
@@ -155,3 +161,90 @@ def test_manifest_dump_failure_leaves_prior_manifest(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert read_manifest(out) == prior
     assert read_manifest(str(tmp_path / "ck" / "s")) is None
+
+
+def _mixed(n=300):
+    """Every digest-relevant type with nulls: int64, a second-unit timestamp
+    (parquet stores it in ms), a zoned µs timestamp, large_string and a
+    dictionary column."""
+    import datetime as dt
+
+    base = dt.datetime(2021, 3, 4, 5, 6, 7)
+    return pa.table({
+        "subj": [f"s{i % 23}" for i in range(n)],
+        "n": pa.array([None if i % 7 == 0 else i * 2**40 for i in range(n)],
+                      pa.int64()),
+        "ts": pa.array([None if i % 5 == 0 else base + dt.timedelta(seconds=i)
+                        for i in range(n)], pa.timestamp("s")),
+        "tus": pa.array([None if i % 6 == 0 else base + dt.timedelta(microseconds=i)
+                         for i in range(n)], pa.timestamp("us", tz="UTC")),
+        "note": pa.array([None if i % 3 == 0 else f"note {i}" for i in range(n)],
+                         pa.large_string()),
+        "tag": pa.array([None if i % 4 == 0 else f"t{i % 3}"
+                         for i in range(n)]).dictionary_encode(),
+    })
+
+
+def test_write_time_digests_equal_read_back(tmp_path):
+    """The digest each write task returns equals the digest of its file
+    read back, for plain edges and for a mixed table with nulls; every
+    partition, empty ones included, has one."""
+    from code_graph_rag_ray.state.lineage import _digest_partition_dir
+
+    mixed = _mixed()
+    cases = [(_edges(), ["subj", "obj"], 16),
+             (rd.from_arrow([mixed.slice(0, 100), mixed.slice(100)]), ["subj", "n"], 4)]
+    for i, (ds, sort_by, parts) in enumerate(cases):
+        out = str(tmp_path / f"g{i}")
+        man = resume_materialize(ds, out, key="subj", sort_by=sort_by,
+                                 num_partitions=parts)
+        assert set(man["digests"]) == set(man["partitions"]) == {
+            f"part={k}" for k in range(parts)}
+        for p, digest in man["digests"].items():
+            assert digest == _digest_partition_dir(os.path.join(out, p))
+            assert digest.split(":")[0] == str(man["partitions"][p])
+        assert read_manifest(out) == man
+    assert "0:0" in read_manifest(str(tmp_path / "g0"))["digests"].values()
+
+
+def test_partition_digests_after_resume_reads_nothing(tmp_path, monkeypatch):
+    from code_graph_rag_ray.state import lineage
+
+    out = str(tmp_path / "g")
+    man = resume_materialize(_edges(), out, key="subj", sort_by=["subj", "obj"],
+                             num_partitions=8)
+
+    def boom(pdir: str) -> str:
+        raise AssertionError(f"digest recomputed for {pdir}")
+
+    monkeypatch.setattr(lineage, "_digest_partition_dir", boom)
+    assert lineage.partition_digests(out) == man["digests"]
+
+
+def test_partition_writer_rerun_leaves_one_file(tmp_path):
+    """A retried write task replaces its partition's file: one file, the
+    same digest, the same rows."""
+    from code_graph_rag_ray.stages.materialize import (
+        add_partition_column,
+        write_sorted_partitions,
+    )
+    from code_graph_rag_ray.state.lineage import _digest_partition_dir
+
+    out = str(tmp_path / "g")
+    parted = add_partition_column(_edges(), "subj", 1).materialize()
+    first = write_sorted_partitions(parted, out, ["subj", "obj"])
+    rows = _read_all(out)
+    second = write_sorted_partitions(parted, out, ["subj", "obj"])
+    assert first == second == {"part=0": (400, _digest_partition_dir(f"{out}/part=0"))}
+    assert os.listdir(f"{out}/part=0") == ["data.parquet"]
+    assert _read_all(out) == rows
+
+
+def test_resume_materialize_pays_one_exchange(tmp_path):
+    from perfbench.trace import ExecutorStats
+
+    stats = ExecutorStats()
+    with stats:
+        resume_materialize(_edges(), str(tmp_path / "g"), key="subj",
+                           sort_by=["subj", "obj"], num_partitions=8)
+    assert stats.take()["exchanges"] == 1

@@ -91,3 +91,79 @@ def test_serve_point_query_partition_pruned(tmp_path):
     assert nb["out"].num_rows == len(want)
     assert set(nb["in"]["obj"].to_pylist()) == {"E3"}
     assert nb["in"].num_rows == sum(1 for r in rows if r["obj"] == "E3")
+
+
+def _store_rows():
+    """Few subjects over 16 partitions, so some partitions hold no row."""
+    return pa.table({
+        "subj": [f"E{i % 5}" for i in range(60)],
+        "pred": ["rel" if i % 3 else "ref" for i in range(60)],
+        "obj": [f"E{(i * 7) % 11}" for i in range(60)],
+        "provenance_url": [f"https://x/{i}" for i in range(60)],
+    })
+
+
+def _canon(t: pa.Table) -> pa.Table:
+    return t.sort_by([(c, "ascending") for c in t.column_names])
+
+
+def test_query_edges_equals_arrow_filter(tmp_path):
+    """Every subj/pred/obj combination, misses, a subject whose partition
+    has no rows and ``columns=`` projections equal an Arrow filter of the
+    input, typed like it even when empty."""
+    import itertools
+    import os
+
+    import pyarrow.compute as pc
+
+    from code_graph_rag_ray.stages.serve import partition_of, query_edges
+    from code_graph_rag_ray.state.lineage import resume_materialize
+
+    edges = _store_rows()
+    store = str(tmp_path / "store")
+    resume_materialize(rd.from_arrow(edges), store, key="subj",
+                       sort_by=["subj", "pred", "obj"], num_partitions=16)
+    full = {partition_of(s, 16) for s in edges["subj"].to_pylist()}
+    empty_subj = next(s for s in (f"zz{i}" for i in range(100))
+                      if partition_of(s, 16) not in full)
+    assert not os.path.isdir(os.path.join(store, f"part={partition_of(empty_subj, 16)}"))
+
+    subjs = [None, "E0", "E3", "absent", empty_subj]
+    preds = [None, "rel", "nope"]
+    objs = [None, "E7", "absent"]
+    projections = [None, ["obj"], ["provenance_url", "subj"], ["pred", "obj"]]
+    for subj, pred, obj, cols in itertools.product(subjs, preds, objs, projections):
+        want = edges
+        for c, v in (("subj", subj), ("pred", pred), ("obj", obj)):
+            if v is not None:
+                want = want.filter(pc.equal(want[c], v))
+        if cols is not None:
+            want = want.select(cols)
+        got = query_edges(store, subj=subj, pred=pred, obj=obj, columns=cols)
+        case = (subj, pred, obj, cols)
+        assert got.schema.equals(want.schema), case
+        assert _canon(got).equals(_canon(want)), case
+
+
+def test_query_edges_partition_count_and_missing_store(tmp_path):
+    import pytest
+
+    from code_graph_rag_ray.stages.materialize import materialize_graph
+    from code_graph_rag_ray.stages.serve import query_edges
+    from code_graph_rag_ray.state.lineage import resume_materialize
+
+    edges = _store_rows()
+    store = str(tmp_path / "store")
+    resume_materialize(rd.from_arrow(edges), store, key="subj",
+                       sort_by=["subj"], num_partitions=16)
+    with pytest.raises(ValueError, match="16 partitions"):
+        query_edges(store, subj="E0", num_partitions=8)
+    assert query_edges(store, subj="E0").num_rows == 12
+    with pytest.raises(FileNotFoundError):
+        query_edges(str(tmp_path / "nowhere"), subj="E0")
+
+    # a store written without a manifest stays unchecked
+    bare = str(tmp_path / "bare")
+    materialize_graph(rd.from_arrow(edges), bare, key="subj", sort_by=["subj"],
+                      num_partitions=8)
+    assert query_edges(bare, subj="E0", num_partitions=8).num_rows == 12
