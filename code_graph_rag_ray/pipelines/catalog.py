@@ -63,17 +63,6 @@ def _cents(col) -> pa.Array:
     return pc.cast(pc.round(pc.multiply(col, pa.scalar(100.0))), pa.int64())
 
 
-def _round_cols(ds, cols: list[str], ndigits: int):
-    def f(b: pa.Table) -> pa.Table:
-        for c in cols:
-            b = b.set_column(
-                b.column_names.index(c), c, _pc_round(b[c], ndigits)
-            )
-        return b
-
-    return ds.map_batches(f, batch_format="pyarrow")
-
-
 def _pq(sf_dir: str, table: str, columns: list[str] | None = None):
     return rd.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
 
@@ -3768,8 +3757,7 @@ def doc_global_rank(sf_dir: str):
     from code_graph_rag_ray.stages.ranking import global_rank
 
     ds = _pq(sf_dir, "documents", ["doc_id", "n_chars"])
-    return global_rank(ds, "n_chars", tiebreak="doc_id", descending=True,
-                       num_buckets=16)
+    return global_rank(ds, "n_chars", tiebreak="doc_id", descending=True)
 
 
 def doc_ntile_deciles(sf_dir: str):
@@ -3782,8 +3770,7 @@ def doc_ntile_deciles(sf_dir: str):
 
     ds = _pq(sf_dir, "documents", ["doc_id", "n_chars"])
     total = ds.count()
-    ranked = global_rank(ds, "n_chars", tiebreak="doc_id", descending=True,
-                         num_buckets=16)
+    ranked = global_rank(ds, "n_chars", tiebreak="doc_id", descending=True)
 
     def ntile(b: pa.Table, n=10, tot=total) -> pa.Table:
         r = b["rank"].to_numpy(zero_copy_only=False)
@@ -6561,8 +6548,7 @@ def doc_percent_rank(sf_dir: str):
 
     ds = _pq(sf_dir, "documents", ["doc_id", "n_chars"])
     total = ds.count()
-    ranked = global_rank(ds, "n_chars", tiebreak="doc_id", descending=True,
-                         num_buckets=16)
+    ranked = global_rank(ds, "n_chars", tiebreak="doc_id", descending=True)
 
     def derive(b: pa.Table, tot=total) -> pa.Table:
         r = b["rank"].to_numpy(zero_copy_only=False).astype(np.float64)

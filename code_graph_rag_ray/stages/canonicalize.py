@@ -23,7 +23,6 @@ the exchange — the skew discipline from SURVEY.md §4.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data import Dataset
@@ -93,16 +92,17 @@ def prune_orphans(nodes: Dataset, edges: Dataset) -> Dataset:
         right_schema=pa.schema([("entity_id", pa.string()), ("__ref", pa.int8())]),
     )
 
-    def keep(df: pd.DataFrame) -> pd.DataFrame:
-        mask = (df["label"] != "ExternalEntity") | df["__ref"].notna()
-        out = df[mask].drop(columns=["__ref"])
+    def keep(b: pa.Table) -> pa.Table:
+        m = pc.or_(pc.fill_null(pc.not_equal(b["label"], "ExternalEntity"), True),
+                   pc.is_valid(b["__ref"]))
         # a node may match many edge-endpoint rows (one per edge block);
         # all copies share the node's bucket, so they sit in ONE cogroup
         # output block — batch_size=None keeps block granularity and makes
         # this per-batch dedup exact
-        return out.drop_duplicates("entity_id")
+        return dedup_batch_local(b.filter(m).drop_columns(["__ref"]),
+                                 ["entity_id"])
 
-    return joined.map_batches(keep, batch_format="pandas", batch_size=None)
+    return joined.map_batches(keep, batch_format="pyarrow", batch_size=None)
 
 
 def canonicalize_entities(
@@ -121,15 +121,21 @@ def canonicalize_entities(
     at web scale the node universe is CORPUS-sized, not dictionary-sized —
     every assembly step therefore stays a dataset op: mention counts via
     groupby, the dictionary↔counts left join and the family join via the
-    bucketed cogroup join, and the variant-suffix rank via a per-norm_name
-    ``map_groups``. Only the alias dictionary itself (the broadcast side)
-    is driver-resident. ``Dataset.join`` is deliberately NOT used: Ray 2.49
-    materializes empty hash partitions with no schema, which breaks
-    pyarrow's join on sparse keys (see stages/components.py).
+    bucketed cogroup join, and the variant-suffix rank via one
+    ``bucketed_groups`` keyed on ``norm_name``. Only the alias dictionary
+    itself (the broadcast side) is driver-resident. ``Dataset.join`` is
+    deliberately NOT used: Ray 2.49 materializes empty hash partitions
+    with no schema, which breaks pyarrow's join on sparse keys (see
+    stages/components.py).
     """
     import ray.data as rd
 
-    from code_graph_rag_ray.stages.relational import bucketed_join
+    from code_graph_rag_ray.stages.relational import (
+        _runs,
+        bucketed_groups,
+        bucketed_join,
+        run_starts,
+    )
 
     # DISTRIBUTED 1: mention counts per entity (groupby pre-reduces per
     # block, so head entities shrink before the exchange).
@@ -175,11 +181,13 @@ def canonicalize_entities(
         ),
     )
 
-    def finish_internal(df: pd.DataFrame) -> pd.DataFrame:
-        df["n_mentions"] = df["n_mentions"].fillna(0).astype("int64")
-        return df[["entity_id", "name", "n_mentions", "label"]]
+    def finish_internal(b: pa.Table) -> pa.Table:
+        return pa.table({
+            "entity_id": b["entity_id"], "name": b["name"],
+            "n_mentions": pc.fill_null(pc.cast(b["n_mentions"], pa.int64()), 0),
+            "label": b["label"]})
 
-    internal_nodes = base_counts.map_batches(finish_internal, batch_format="pandas")
+    internal_nodes = base_counts.map_batches(finish_internal, batch_format="pyarrow")
     nodes = internal_nodes.union(ext_nodes)
 
     def add_norm(b: pa.Table) -> pa.Table:
@@ -196,34 +204,19 @@ def canonicalize_entities(
 
     # duplicate-identity variant suffix: deterministic rank within
     # norm_name (sorted by entity id — content-determined, never arrival
-    # order). Runs as a BUCKETED cogroup (hash(norm_name) buckets, one
-    # vectorized UDF call per bucket) — a per-norm_name map_groups pays a
-    # Python call per DISTINCT NAME, corpus-scale here since externals are
-    # minted from page text.
-    from code_graph_rag_ray.functions.hashing import partition_ids
+    # order), one vectorized finish per hash bucket of names — a
+    # per-norm_name map_groups pays a Python call per DISTINCT NAME,
+    # corpus-scale here since externals are minted from page text.
+    def rank_bucket(t: pa.Table) -> pa.Table:
+        t = t.take(pc.sort_indices(t, sort_keys=[
+            ("norm_name", "ascending"), ("entity_id", "ascending")]))
+        _, _, k = _runs(run_starts(t, ["norm_name"]))
+        suffixed = pc.binary_join_element_wise(
+            t["name"], pa.array(k.astype(str), pa.string()), "@")
+        name = pc.if_else(pa.array(k > 0), suffixed, t["name"])
+        return t.set_column(t.column_names.index("name"), "name", name)
 
-    def add_name_bucket(b: pa.Table) -> pa.Table:
-        ids = partition_ids(b["norm_name"], 64)
-        return b.append_column("__nb", pa.array(ids))
-
-    def rank_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["norm_name", "entity_id"], kind="mergesort").reset_index(
-            drop=True
-        )
-        nv = g["norm_name"].to_numpy()
-        new = np.ones(len(g), dtype=bool)
-        new[1:] = nv[1:] != nv[:-1]
-        starts = np.flatnonzero(new)
-        # rank within each norm_name run = position − run start
-        k = np.arange(len(g)) - np.repeat(starts, np.diff(np.r_[starts, len(g)]))
-        g["name"] = np.where(k > 0, g["name"] + "@" + k.astype(str), g["name"])
-        return g.drop(columns=["__nb"])
-
-    nodes = (
-        nodes.map_batches(add_name_bucket, batch_format="pyarrow")
-        .groupby("__nb")
-        .map_groups(rank_bucket, batch_format="pandas")
-    )
+    nodes = bucketed_groups(nodes, "norm_name", rank_bucket)
 
     # DISTRIBUTED 2: name families — CC over the alias↔entity bipartite
     # graph (A3 analog), joined back per entity.
@@ -240,7 +233,7 @@ def canonicalize_entities(
             ),
             batch_format="pyarrow",
         )
-        # nodes is a lazy groupby.map_groups output (the variant rank) and
+        # nodes is a lazy bucketed_groups output (the variant rank) and
         # fam rides on the CC loop — schema hints keep the join's probe
         # from executing the whole node assembly / CC once for the names
         nodes = bucketed_join(
@@ -260,10 +253,8 @@ def canonicalize_entities(
             batch_format="pyarrow",
         )
 
-    def project(df: pd.DataFrame) -> pd.DataFrame:
-        return df[["entity_id", "name", "label", "norm_name", "n_mentions", "name_family"]]
-
-    return nodes.map_batches(project, batch_format="pandas")
+    cols = ["entity_id", "name", "label", "norm_name", "n_mentions", "name_family"]
+    return nodes.map_batches(lambda b: b.select(cols), batch_format="pyarrow")
 
 
 def prune_unreferenced(

@@ -3,11 +3,11 @@
 Pretraining pipelines concatenate the tokenized corpus in a deterministic
 order and slice the stream into fixed-length sequences (GPT-style
 concat-and-chunk). The whole operator is ONE global exclusive prefix sum of
-per-doc token counts over the doc order — computed distributed with the
-two-pass range-bucket scheme of ``stages/ranking`` (bounded per-block
-boundary sampling, per-bucket totals — driver rows O(blocks × num_buckets),
-never a function of corpus size), summing token counts instead of counting
-rows.
+per-doc token counts over the doc order — ``ranking._ordered_prefix``, the
+range-bucket prefix sum under ``global_rank``, weighted by token counts
+instead of counting rows: a bounded per-block key sample, per-block range
+totals summed on the driver (O(blocks) count vectors, never a function of
+corpus size) and one ``bucketed_groups`` exchange.
 
 Output per doc: ``n_tokens``, ``start_off`` (global token offset of the
 doc's first token), ``seq_first`` / ``seq_last`` (the fixed-length
@@ -18,8 +18,8 @@ window-function oracle replays it bit-exactly.
 Reference parity: the reference chunks function snippets to an embedding
 context budget one process at a time (``graph_updater.py:2051-2181`` batch
 loop); this is the corpus-scale batch equivalent for training-sequence
-assembly. Boundary choice affects only bucket balance — offsets are a pure
-function of the data, so any sampled boundary set yields identical output.
+assembly. Range boundaries set only balance — offsets are a pure function
+of the data, so any sampled boundary set yields identical output.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ import pyarrow.compute as pc
 from ray.data import Dataset
 
 from code_graph_rag_ray.stages.extract import _tokenize
-from code_graph_rag_ray.stages.ranking import _sample_boundaries
-from code_graph_rag_ray.stages.relational import partial_groupby_sum
+from code_graph_rag_ray.stages.ranking import _ordered_prefix
 
 
 def token_counts(ds: Dataset, *, id_col: str = "doc_id",
@@ -59,8 +58,6 @@ def pack_sequences(
     seq_len: int,
     id_col: str = "doc_id",
     text_col: str = "text",
-    num_buckets: int = 64,
-    sample_mod: int = 64,
     counts: Dataset | None = None,
 ) -> Dataset:
     """Concat-and-chunk packing: docs (ordered by ``id_col``) → per-doc
@@ -75,46 +72,19 @@ def pack_sequences(
     counted = counts if counts is not None else token_counts(
         ds, id_col=id_col, text_col=text_col)
 
-    bounds = _sample_boundaries(counted, id_col, num_buckets, sample_mod)
-    bounds_np = np.asarray(bounds) if bounds else None
-
-    def bucketize(b: pa.Table) -> pa.Table:
-        if bounds_np is None:
-            bucket = np.zeros(len(b), np.int64)
-        else:
-            keys = b[id_col].to_numpy(zero_copy_only=False)
-            bucket = np.searchsorted(bounds_np, keys, side="right").astype(np.int64)
-        return b.append_column("__bucket", pa.array(bucket))
-
-    bucketed = counted.map_batches(bucketize, batch_format="pyarrow")
-
-    # pass 1: per-bucket token totals → exclusive bucket offsets (tiny)
-    totals = partial_groupby_sum(bucketed, ["__bucket"], {"n_tokens": "tok"}).take_all()
-    totals.sort(key=lambda r: r["__bucket"])
-    offsets: dict[int, int] = {}
-    acc = 0
-    for r in totals:
-        offsets[r["__bucket"]] = acc
-        acc += r["tok"]
-
-    # pass 2: exclusive cumsum inside each id-sorted bucket + global offset
-    def pack_group(g: pa.Table) -> pa.Table:
-        off = offsets[g["__bucket"][0].as_py()]
-        g = g.take(pc.sort_indices(g, sort_keys=[(id_col, "ascending")]))
-        g = g.drop_columns("__bucket")
-        n = g["n_tokens"].to_numpy(zero_copy_only=False)
-        start = off + np.concatenate(([0], np.cumsum(n[:-1], dtype=np.int64)))
+    def pack(t: pa.Table, start: np.ndarray) -> pa.Table:
+        n = t["n_tokens"].to_numpy(zero_copy_only=False)
         seq_first = start // seq_len
         seq_last = np.where(n > 0, (start + n - 1) // seq_len, seq_first)
         return pa.table({
-            id_col: g[id_col],
-            "n_tokens": g["n_tokens"],
+            id_col: t[id_col],
+            "n_tokens": t["n_tokens"],
             "start_off": pa.array(start, pa.int64()),
             "seq_first": pa.array(seq_first, pa.int64()),
             "seq_last": pa.array(seq_last.astype(np.int64), pa.int64()),
         })
 
-    return bucketed.groupby("__bucket").map_groups(pack_group, batch_format="pyarrow")
+    return _ordered_prefix(counted, id_col, pack, weight="n_tokens")
 
 
 def chunk_documents(
@@ -146,27 +116,33 @@ def chunk_documents(
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
+    return ds.map_batches(
+        lambda b: _chunk_batch(b, window=window, stride=stride,
+                               id_col=id_col, text_col=text_col),
+        batch_format="pyarrow")
 
-    def chunks(b: pa.Table) -> pa.Table:
-        toks = pc.split_pattern(b[text_col], pattern=" ")
-        ids, cis, starts, ns, texts = [], [], [], [], []
-        for rid, lst in zip(b[id_col].to_pylist(), toks.to_pylist()):
-            tl = [t for t in (lst or []) if t]  # null text → no chunks
-            n = len(tl)
-            for ci, s in enumerate(range(0, n, stride)):
-                piece = tl[s : s + window]
-                ids.append(rid)
-                cis.append(ci)
-                starts.append(s)
-                ns.append(len(piece))
-                texts.append(" ".join(piece))
-        return pa.table({
-            # id dtype preserved (int doc ids and string urls both work)
-            id_col: pa.array(ids, b[id_col].type),
-            "chunk_idx": pa.array(cis, pa.int64()),
-            "start_tok": pa.array(starts, pa.int64()),
-            "n_tokens": pa.array(ns, pa.int64()),
-            "chunk_text": pa.array(texts, pa.string()),
-        })
 
-    return ds.map_batches(chunks, batch_format="pyarrow")
+def _chunk_batch(b: pa.Table, *, window: int, stride: int, id_col: str,
+                 text_col: str) -> pa.Table:
+    """One batch of :func:`chunk_documents`."""
+    toks = pc.split_pattern(b[text_col], pattern=" ")
+    ids, cis, starts, ns, texts = [], [], [], [], []
+    for rid, lst in zip(b[id_col].to_pylist(), toks.to_pylist()):
+        tl = [t for t in (lst or []) if t]  # null text → no chunks
+        n = len(tl)
+        for ci, s in enumerate(range(0, n, stride)):
+            piece = tl[s : s + window]
+            ids.append(rid)
+            cis.append(ci)
+            starts.append(s)
+            ns.append(len(piece))
+            texts.append(" ".join(piece))
+    return pa.table({
+        # id dtype preserved (int doc ids and string urls both work)
+        id_col: pa.array(ids, b[id_col].type),
+        "chunk_idx": pa.array(cis, pa.int64()),
+        "start_tok": pa.array(starts, pa.int64()),
+        "n_tokens": pa.array(ns, pa.int64()),
+        "chunk_text": pa.array(texts, pa.string()),
+    })
+

@@ -2,30 +2,35 @@
 key without ever holding it in one place.
 
 Curriculum ordering, "keep the best N per corpus", and stable exports all
-need a total order ``ORDER BY key [DESC], tiebreak`` with a 1-based global
-rank. The classic way is a full sort plus a driver-side index — neither
-survives 100 TB. This is the two-pass range-bucket scheme every distributed
-sort uses, with driver state bounded at O(blocks × num_buckets) sample
-rows + O(num_buckets) count rows — never a function of corpus row count:
+need a total order ``ORDER BY key [DESC] NULLS LAST, tiebreak`` with a
+1-based global rank. The classic way is a full sort plus a driver-side
+index — neither survives 100 TB. :func:`global_rank` and
+``packing.pack_sequences`` share one global exclusive prefix sum over that
+order, :func:`_ordered_prefix`, built on range buckets:
 
 1. **Sample** keys with a bounded per-block quantile sketch (each block
-   emits ≤ num_buckets+1 evenly-spaced local keys; the driver merges
-   O(blocks × num_buckets) rows — never a rate-sample of all keys) and
-   cut ``num_buckets`` range boundaries. Boundaries affect only balance —
-   the final ranks are a pure function of the data, so ANY boundary choice
-   yields identical output.
-2. **Bucket** each row by ``searchsorted(boundaries, key)`` — equal keys
-   always co-locate.
-3. **Count** rows per bucket two-phase (block partials → tiny grouped sum)
-   and prefix-sum the ≤ num_buckets counts into bucket offsets.
-4. **Rank** inside each bucket: ``groupby(bucket).map_groups`` sorts the
-   group by (key, tiebreak) and adds ``offset + arange``.
+   emits ≤ ``_RANGE_BUCKETS`` + 1 evenly-spaced local keys, so the driver
+   merges O(blocks × ``_RANGE_BUCKETS``) rows — never a rate-sample of all
+   keys) and cut the range boundaries.
+2. **Range bucket** every row by ``searchsorted(boundaries, key)``,
+   numbered in the output order: flipped under DESC, NaN in its own
+   bucket at the top of the float order (DuckDB's rule) and nulls in their
+   own last bucket. Equal keys always share a range bucket.
+3. **Total** each range bucket's weight (row count or a weight column)
+   with one per-block map; the driver sums the O(blocks)
+   count vectors and prefix-sums them into range-bucket offsets.
+4. **Finish** in one ``relational.bucketed_groups`` keyed on the range
+   bucket: sort by (range bucket, key, tiebreak) and add each range
+   bucket's offset to the in-bucket running sum. A hash bucket may hold
+   several range buckets.
 
-The input pipeline executes twice (count pass + rank pass) — like any
-distributed sort, cheaper than materializing; feed it a checkpointed /
-parquet-backed dataset for expensive upstreams. A whale key co-locates its
-rows in one bucket — inherent to total-order semantics (same as SQL
-row_number); size num_buckets to the key distribution, not the corpus.
+Boundaries set only balance: the results are a pure function of the data,
+so ANY boundary choice (and any ``_RANGE_BUCKETS``) yields identical
+output. The input pipeline executes three times (sample, totals, finish) —
+like any distributed sort, cheaper than materializing; feed it a
+checkpointed / parquet-backed dataset for expensive upstreams. A whale key
+co-locates its rows in one range bucket, as total-order semantics demand
+(same as SQL row_number).
 
 Reference parity: the reference ranks retrieval candidates wholesale in
 one process (``evals/retrieval.py`` score sort); this is the corpus-scale
@@ -39,7 +44,26 @@ import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data import Dataset
 
-from code_graph_rag_ray.stages.relational import partial_groupby_sum
+from code_graph_rag_ray.stages.relational import (
+    _runs,
+    bucketed_groups,
+    grouped_top_k,
+    partial_groupby_sum,
+    run_starts,
+)
+
+#: range buckets cut from the key sample of :func:`_ordered_prefix`. They
+#: set only the balance of the finish, never a result.
+_RANGE_BUCKETS = 64
+
+
+def _sortable(col, key_type: pa.DataType) -> pa.Array:
+    """``col`` without nulls and (for floats) NaN — the keys a boundary
+    sample and ``searchsorted`` may compare."""
+    col = pc.drop_null(col)
+    if pa.types.is_floating(key_type):
+        col = col.filter(pc.invert(pc.is_nan(col)))
+    return col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
 
 
 def _block_key_sample(ds: Dataset, by: str, cap: int) -> Dataset:
@@ -51,7 +75,7 @@ def _block_key_sample(ds: Dataset, by: str, cap: int) -> Dataset:
 
     def pick(b: pa.Table) -> pa.Table:
         key_type = b.schema.field(by).type
-        col = pc.drop_null(b[by]).combine_chunks()
+        col = _sortable(b[by], key_type)
         n = len(col)
         if n == 0:
             return pa.table({by: pa.array([], type=key_type)})
@@ -62,9 +86,7 @@ def _block_key_sample(ds: Dataset, by: str, cap: int) -> Dataset:
     return ds.map_batches(pick, batch_format="pyarrow")
 
 
-def _sample_boundaries(
-    ds: Dataset, by: str, num_buckets: int, sample_mod: int | None = None
-) -> list:
+def _sample_boundaries(ds: Dataset, by: str, num_buckets: int) -> list:
     """Bounded two-phase key sample → ≤ num_buckets-1 sorted cut points.
 
     Phase 1 (distributed): each block emits ≤ num_buckets+1 evenly-spaced
@@ -72,9 +94,7 @@ def _sample_boundaries(
     O(blocks × num_buckets) sampled keys and cut evenly-spaced boundaries.
     Boundary choice affects only bucket balance — ranks/offsets downstream
     are a pure function of the data, so any sample yields identical
-    output. ``sample_mod`` is accepted for call compatibility with the
-    retired hash-rate sampler and ignored."""
-    del sample_mod
+    output."""
     sample = _block_key_sample(ds, by, num_buckets + 1).take_all()
     keys = sorted(r[by] for r in sample)
     if not keys:
@@ -83,59 +103,99 @@ def _sample_boundaries(
     return sorted(set(keys[i] for i in idx))
 
 
+def _ordered_prefix(
+    ds: Dataset,
+    by: str,
+    fn,
+    *,
+    tiebreak: str | None = None,
+    descending: bool = False,
+    weight: str | None = None,
+) -> Dataset:
+    """Global exclusive prefix sum over ``ORDER BY by [DESC] NULLS LAST,
+    tiebreak``: calls ``fn(t, before)`` once per hash bucket, with ``t``
+    that bucket's rows in the global order and ``before[i]`` the total
+    ``weight`` (the row count when None) of every row ahead of row ``i``
+    corpus-wide. Float NaN keys sort above every number, as in DuckDB.
+    The steps are in the module docstring; only O(blocks) count vectors
+    reach the driver, and the finish is the one exchange."""
+    bounds = _sample_boundaries(ds, by, _RANGE_BUCKETS)
+    n_b = len(bounds)
+    nan_id = 0 if descending else n_b + 1
+    n_ids = n_b + 3  # non-null ranges, NaN, null
+
+    def range_ids(b: pa.Table) -> np.ndarray:
+        col = b[by]
+        key_type = b.schema.field(by).type
+        ids = np.full(b.num_rows, n_b + 2, np.int64)  # nulls: last bucket
+        ok = pc.is_valid(col)
+        if pa.types.is_floating(key_type):
+            nan = pc.and_kleene(ok, pc.is_nan(col))
+            ids[nan.to_numpy(zero_copy_only=False)] = nan_id
+            ok = pc.and_kleene(ok, pc.invert(nan))
+        ok = ok.to_numpy(zero_copy_only=False)
+        keys = _sortable(col, key_type).to_numpy(zero_copy_only=False)
+        cuts = pa.array(bounds, key_type).to_numpy(zero_copy_only=False)
+        r = np.searchsorted(cuts, keys, side="right")
+        ids[ok] = n_b + 1 - r if descending else r
+        return ids
+
+    def tag(b: pa.Table) -> pa.Table:
+        return b.append_column("__rb", pa.array(range_ids(b), pa.int64()))
+
+    def weights(b: pa.Table) -> np.ndarray:
+        if weight is None:
+            return np.ones(b.num_rows, np.int64)
+        return np.asarray(b[weight].to_numpy(zero_copy_only=False), np.int64)
+
+    def totals(b: pa.Table) -> pa.Table:
+        tot = np.zeros(n_ids, np.int64)
+        np.add.at(tot, b["__rb"].to_numpy(), weights(b))
+        return pa.table({"n": pa.array([tot], pa.list_(pa.int64()))})
+
+    tagged = ds.map_batches(tag, batch_format="pyarrow")
+    per_block = tagged.map_batches(totals, batch_format="pyarrow",
+                                   batch_size=None).take_all()
+    tot = np.zeros(n_ids, np.int64)
+    for r in per_block:
+        tot += np.asarray(r["n"], np.int64)
+    offsets = np.cumsum(tot) - tot
+
+    order = "descending" if descending else "ascending"
+    sort_keys = [("__rb", "ascending"), (by, order)]
+    if tiebreak:
+        sort_keys.append((tiebreak, "ascending"))
+
+    def finish(t: pa.Table) -> pa.Table:
+        t = t.take(pc.sort_indices(t, sort_keys=sort_keys))
+        rb = t["__rb"].to_numpy()
+        w = weights(t)
+        starts, lens, _ = _runs(run_starts(t, ["__rb"]))
+        run_sum = np.cumsum(w) - w  # exclusive, over the whole bucket
+        before = offsets[rb] + run_sum - np.repeat(run_sum[starts], lens)
+        return fn(t.drop_columns(["__rb"]), before)
+
+    return bucketed_groups(tagged, "__rb", finish)
+
+
 def global_rank(
     ds: Dataset,
     by: str,
     *,
     tiebreak: str,
     descending: bool = False,
-    num_buckets: int = 64,
     out_col: str = "rank",
-    sample_mod: int = 64,
 ) -> Dataset:
     """Add ``out_col`` = 1-based global row_number over
-    ``ORDER BY by [DESC], tiebreak ASC``. ``tiebreak`` must be unique for
-    a deterministic total order (SQL row_number's requirement too)."""
-    bounds = _sample_boundaries(ds, by, num_buckets, sample_mod)
-    bounds_np = np.asarray(bounds) if bounds else None
+    ``ORDER BY by [DESC] NULLS LAST, tiebreak ASC``. ``tiebreak`` must be
+    unique for a deterministic total order (SQL row_number's requirement
+    too)."""
 
-    def bucketize(b: pa.Table) -> pa.Table:
-        if bounds_np is None:
-            bucket = np.zeros(len(b), np.int64)
-        else:
-            keys = b[by].to_numpy(zero_copy_only=False)
-            bucket = np.searchsorted(bounds_np, keys, side="right").astype(np.int64)
-        return b.append_column("__bucket", pa.array(bucket))
+    def rank(t: pa.Table, before: np.ndarray) -> pa.Table:
+        return t.append_column(out_col, pa.array(before + 1, pa.int64()))
 
-    bucketed = ds.map_batches(bucketize, batch_format="pyarrow")
-
-    # pass 1: per-bucket totals (tiny — ≤ num_buckets rows reach the driver)
-    counts = partial_groupby_sum(
-        bucketed, ["__bucket"], {}, count_alias="n"
-    ).take_all()
-    counts.sort(key=lambda r: r["__bucket"], reverse=descending)
-    offsets: dict[int, int] = {}
-    acc = 0
-    for r in counts:
-        offsets[r["__bucket"]] = acc
-        acc += r["n"]
-
-    order = "descending" if descending else "ascending"
-
-    def rank_group(g: pa.Table) -> pa.Table:
-        off = offsets[g["__bucket"][0].as_py()]
-        idx = pc.sort_indices(
-            g, sort_keys=[(by, order), (tiebreak, "ascending")]
-        )
-        g = g.take(idx).drop_columns("__bucket")
-        return g.append_column(
-            out_col, pa.array(off + 1 + np.arange(len(g), dtype=np.int64))
-        )
-
-    # pass 2: rank inside each bucket (equal keys are co-located by step 2)
-    return bucketed.groupby("__bucket").map_groups(
-        rank_group, batch_format="pyarrow"
-    )
+    return _ordered_prefix(ds, by, rank, tiebreak=tiebreak,
+                           descending=descending)
 
 
 def shuffle_rank(
@@ -143,7 +203,6 @@ def shuffle_rank(
     *,
     id_col: str,
     shard_size: int,
-    num_buckets: int = 64,
 ) -> Dataset:
     """Deterministic global pseudorandom shuffle order + shard assignment —
     the "shuffle the corpus before writing train shards" step, without a
@@ -157,9 +216,9 @@ def shuffle_rank(
     (0-based, ``(rank-1) // shard_size``) — ready to feed a partitioned
     writer one shard directory per shard id.
 
-    Scale shape: delegates to :func:`global_rank` (two-pass range-bucket
-    row_number, O(num_buckets) driver rows); md5 keys are uniform so the
-    range buckets are balanced by construction.
+    Scale shape: the :func:`global_rank` prefix sum (:func:`_ordered_prefix`)
+    over the hash key; md5 keys are uniform so the range buckets are
+    balanced by construction.
     """
     from code_graph_rag_ray.functions.hashing import md5_low32_array
 
@@ -167,19 +226,15 @@ def shuffle_rank(
         u = md5_low32_array(b[id_col]).astype(np.int64)
         return b.append_column("__sk", pa.array(u))
 
-    ranked = global_rank(
-        ds.map_batches(key, batch_format="pyarrow"),
-        "__sk", tiebreak=id_col, num_buckets=num_buckets,
-        out_col="shuffle_rank",
-    )
+    def rank(t: pa.Table, before: np.ndarray) -> pa.Table:
+        r = before + 1
+        return (t.drop_columns(["__sk"])
+                .append_column("shuffle_rank", pa.array(r, pa.int64()))
+                .append_column("shard", pa.array((r - 1) // shard_size,
+                                                 pa.int64())))
 
-    def finish(b: pa.Table) -> pa.Table:
-        r = b["shuffle_rank"].to_numpy(zero_copy_only=False)
-        shard = (r - 1) // shard_size
-        return b.drop_columns("__sk").append_column(
-            "shard", pa.array(shard.astype(np.int64)))
-
-    return ranked.map_batches(finish, batch_format="pyarrow")
+    return _ordered_prefix(ds.map_batches(key, batch_format="pyarrow"),
+                           "__sk", rank, tiebreak=id_col)
 
 
 def group_rank(
@@ -192,20 +247,23 @@ def group_rank(
     out_col: str = "rank",
 ) -> Dataset:
     """Per-group 1-based dense row_number (``row_number() OVER (PARTITION
-    BY group ORDER BY by [DESC], tiebreak)``) via ``groupby.map_groups``.
+    BY group ORDER BY by [DESC] NULLS LAST, tiebreak)``), finished one
+    hash bucket of groups at a time (:func:`bucketed_groups`).
 
-    Meant for SMALL groups (top-k lists, per-query candidates): the whole
-    group transits one task. For corpus-scale groups use
+    Meant for SMALL groups (top-k lists, per-query candidates): a group
+    transits one task whole. For corpus-scale groups use
     :func:`global_rank` per partition or `grouped_top_k` first.
     """
+    sort_keys = [(group, "ascending"),
+                 (by, "descending" if descending else "ascending"),
+                 (tiebreak, "ascending")]
 
-    def rank_group(g):
-        g = g.sort_values([by, tiebreak], ascending=[not descending, True],
-                          kind="mergesort")
-        g[out_col] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
+    def rank(t: pa.Table) -> pa.Table:
+        t = t.take(pc.sort_indices(t, sort_keys=sort_keys))
+        _, _, pos = _runs(run_starts(t, [group]))
+        return t.append_column(out_col, pa.array(pos + 1, pa.int64()))
 
-    return ds.groupby(group).map_groups(rank_group, batch_format="pandas")
+    return bucketed_groups(ds, group, rank)
 
 
 def rrf_fuse(
@@ -234,11 +292,6 @@ def rrf_fuse(
     candidates with vector-search candidates before prompting
     (codebase_rag/services/llm.py); RRF is the standard public fusion.
     """
-    from code_graph_rag_ray.stages.relational import (
-        grouped_top_k,
-        partial_groupby_sum,
-    )
-
     def contrib(b: pa.Table) -> pa.Table:
         r = b[rank_col].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(

@@ -31,8 +31,6 @@ the embedding sink's "represent a document by salient features"
 
 from __future__ import annotations
 
-import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data import Dataset
@@ -104,34 +102,29 @@ def topk_from_tf_rows(
     are doc-complete (each document's rows in one block — true for any
     map_batches derivation from one-row-per-doc input). Lets other term
     streams (entity mentions, n-grams) reuse the tf-idf ranking."""
-    from code_graph_rag_ray.stages.relational import broadcast_join
+    from code_graph_rag_ray.stages.relational import _runs, broadcast_join, run_starts
 
     df_tbl = document_frequency(tf_rows, id_col=id_col)
     scored = broadcast_join(tf_rows, df_tbl, on="term")
 
-    def topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.assign(__s=g["tf"].to_numpy() / g["df"].to_numpy())
-        g = g.sort_values(
-            [id_col, "__s", "term"], ascending=[True, False, True],
-            kind="mergesort",
-        )
-        ids = g[id_col].to_numpy()
-        n = len(g)
-        new = np.ones(n, dtype=bool)
-        new[1:] = ids[1:] != ids[:-1]
-        starts = np.flatnonzero(new)
-        rank = (
-            np.arange(n) - np.repeat(starts, np.diff(np.r_[starts, n])) + 1
-        )
-        g = g.assign(rank=rank.astype(np.int64))
-        out = g[rank <= k]
-        return out[[id_col, "term", "tf", "df", "rank"]].astype(
-            {"tf": "int64", "df": "int64"}
-        )
+    def topk(b: pa.Table) -> pa.Table:
+        score = pc.divide(pc.cast(b["tf"], pa.float64()),
+                          pc.cast(b["df"], pa.float64()))
+        t = b.append_column("__s", score)
+        t = t.take(pc.sort_indices(t, sort_keys=[
+            (id_col, "ascending"), ("__s", "descending"),
+            ("term", "ascending")]))
+        _, _, pos = _runs(run_starts(t, [id_col]))
+        head = pos < k
+        t = t.filter(pa.array(head))
+        return pa.table({id_col: t[id_col], "term": t["term"],
+                         "tf": pc.cast(t["tf"], pa.int64()),
+                         "df": pc.cast(t["df"], pa.int64()),
+                         "rank": pa.array(pos[head] + 1, pa.int64())})
 
     # doc-complete blocks in, doc-complete blocks out: the broadcast join
     # is a map_batches, so the per-doc rank never needs a shuffle
-    return scored.map_batches(topk, batch_format="pandas", batch_size=None)
+    return scored.map_batches(topk, batch_format="pyarrow", batch_size=None)
 
 
 def inverted_index(
@@ -227,7 +220,6 @@ def vocab_growth(
     *,
     id_col: str = "doc_id",
     text_col: str = "text",
-    num_buckets: int = 64,
 ) -> Dataset:
     """Heaps-law vocabulary growth: for each document (under the corpus
     doc-id order), how many terms it is the FIRST to introduce — term's
@@ -235,14 +227,13 @@ def vocab_growth(
     document.
 
     Scale shape: per-batch Arrow groupby emits one (term, min-doc)
-    partial per term per batch; the global min folds inside a term-hash
-    bucket cogroup (64-ish groups — vocabulary is corpus-scale, so never
-    a per-term group, NOTES fact 25); the per-doc introduction counts are
-    the usual two-phase grouped count. Tokenizer = the tf-idf convention
-    (lowercase, ``[^a-z0-9]+`` split).
+    partial per term per batch; a ``bucketed_groups`` keyed on the term
+    folds the global min and counts each bucket's terms per introducing
+    document (vocabulary is corpus-scale, so never a per-term group, NOTES
+    fact 25); a second one keyed on the document sums those counts.
+    Tokenizer = the tf-idf convention (lowercase, ``[^a-z0-9]+`` split).
     """
-    from code_graph_rag_ray.functions.hashing import partition_ids
-    from code_graph_rag_ray.stages.relational import partial_groupby_sum
+    from code_graph_rag_ray.stages.relational import bucketed_groups
 
     def partial(b: pa.Table) -> pa.Table:
         empty = pa.table({"term": pa.array([], pa.string()),
@@ -262,19 +253,20 @@ def vocab_growth(
         return pa.table({"term": g["term"],
                          "mn": pc.cast(g["d_min"], pa.int64())})
 
-    def bucketize(b: pa.Table) -> pa.Table:
-        bk = partition_ids(b["term"], num_buckets)
-        return b.append_column("__bk", pa.array(bk, pa.int32()))
+    def first_docs(t: pa.Table) -> pa.Table:
+        firsts = pa.TableGroupBy(t, "term", use_threads=False).aggregate(
+            [("mn", "min")])
+        g = pa.TableGroupBy(firsts, "mn_min", use_threads=False).aggregate(
+            [([], "count_all")])
+        return pa.table({"first_doc": g["mn_min"],
+                         "n": pc.cast(g["count_all"], pa.int64())})
 
-    def first_doc(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby("term", as_index=False)["mn"].min()
-        return pd.DataFrame({"first_doc": out["mn"].to_numpy(np.int64)})
+    def total(t: pa.Table) -> pa.Table:
+        g = pa.TableGroupBy(t, "first_doc", use_threads=False).aggregate(
+            [("n", "sum")])
+        return pa.table({"first_doc": g["first_doc"],
+                         "n_new_terms": pc.cast(g["n_sum"], pa.int64())})
 
-    firsts = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .map_batches(bucketize, batch_format="pyarrow", batch_size=None)
-        .groupby("__bk")
-        .map_groups(first_doc, batch_format="pandas")
-    )
-    return partial_groupby_sum(firsts, ["first_doc"], {},
-                               count_alias="n_new_terms")
+    firsts = bucketed_groups(ds.map_batches(partial, batch_format="pyarrow"),
+                             "term", first_docs)
+    return bucketed_groups(firsts, "first_doc", total)

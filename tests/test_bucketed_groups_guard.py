@@ -23,10 +23,14 @@ from code_graph_rag_ray.stages import (
     graph_metrics,
     linking,
     materialize,
+    packing,
+    paragraphs,
     paths,
     rangejoin,
+    ranking,
     relational,
     skew,
+    tfidf,
     windows,
 )
 from code_graph_rag_ray.state import lineage
@@ -39,8 +43,9 @@ PANDAS_GROUP_FINISH = re.compile(
     re.S)
 
 SOURCES = {
-    **{m.__name__: m for m in (asof, components, fusion, linking, materialize,
-                               paths, rangejoin, lineage)},
+    **{m.__name__: m for m in (asof, canonicalize, components, fusion, linking,
+                               materialize, packing, paragraphs, paths,
+                               rangejoin, ranking, tfidf, lineage)},
     **{f"{f.__module__}.{f.__name__}": f for f in (
         dedup._lsh_pairs, dedup._attach_pair_payload,
         dedup.minhash_near_dup_pairs, dedup.simhash_near_dup_pairs,
@@ -58,7 +63,7 @@ SOURCES = {
 
 #: ``batch_format="pandas"`` sites under ``code_graph_rag_ray/``. Each port
 #: to Arrow lowers it; it never rises.
-PANDAS_SITES = 30
+PANDAS_SITES = 19
 
 BUCKETED_OPS = (
     relational.bucketed_cogroup, relational.bucketed_join,

@@ -32,14 +32,15 @@ def test_pack_sequences_hand_checked():
     assert out["seq_last"].tolist() == [0, 0, 1, 1]
 
 
-def test_pack_sequences_partitioning_invariant():
+def test_pack_sequences_partitioning_invariant(monkeypatch):
     """Offsets are a pure function of the data: any block layout (and thus
     any sampled bucket boundaries) must give identical assignments."""
+    from code_graph_rag_ray.stages import ranking
+
     rows = [(i, ("tok " * ((i * 7) % 13 + 1)).strip()) for i in range(200)]
     one = pack_sequences(_docs(rows), seq_len=32).to_pandas()
-    many = pack_sequences(
-        _docs(rows).repartition(17), seq_len=32, num_buckets=8, sample_mod=4
-    ).to_pandas()
+    monkeypatch.setattr(ranking, "_RANGE_BUCKETS", 8)
+    many = pack_sequences(_docs(rows).repartition(17), seq_len=32).to_pandas()
     one = one.sort_values("doc_id").reset_index(drop=True)
     many = many.sort_values("doc_id").reset_index(drop=True)
     assert one.equals(many)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import ray.data as rd
 
 from code_graph_rag_ray.stages.paragraphs import boilerplate_stats, paragraph_dedup
@@ -86,3 +87,38 @@ def test_paragraph_dedup_apply_string_ids():
         ).take_all()
     }
     assert out == {"u/a": ("a b c d e f g h", 2), "u/b": ("x y z w", 1)}
+
+
+# documents without a single token: every result is empty but typed
+NO_TOKENS = pd.DataFrame({"doc_id": np.array([0, 1, 2], np.int64),
+                          "text": ["", None, "   "]})
+
+
+def _typed_empty(ds):
+    assert ds.count() == 0
+    schema = ds.schema()
+    assert schema is not None
+    return dict(zip(schema.names, schema.types))
+
+
+def test_paragraph_dedup_typed_empty():
+    got = _typed_empty(paragraph_dedup(
+        rd.from_pandas(NO_TOKENS).repartition(2), window=4))
+    assert got == {"doc_id": pa.int64(), "para_idx": pa.int64(),
+                   "keep": pa.int64()}
+
+
+def test_boilerplate_stats_typed_empty():
+    got = _typed_empty(boilerplate_stats(
+        rd.from_pandas(NO_TOKENS).repartition(2), window=4))
+    assert got == {"doc_id": pa.int64(), "n_paras": pa.int64(),
+                   "n_boiler": pa.int64()}
+
+
+def test_paragraph_dedup_apply_typed_empty():
+    from code_graph_rag_ray.stages.paragraphs import paragraph_dedup_apply
+
+    got = _typed_empty(paragraph_dedup_apply(
+        rd.from_pandas(NO_TOKENS).repartition(2), window=4))
+    assert got == {"doc_id": pa.int64(), "clean_text": pa.string(),
+                   "n_kept": pa.int64()}

@@ -1,12 +1,15 @@
 """Global ranking: exact row_number semantics at any block layout and any
-bucket count, descending and ascending, with whale (all-equal) keys."""
+range-bucket count, descending and ascending, with whale (all-equal) keys
+and null keys."""
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pytest
 import ray.data as rd
 
+from code_graph_rag_ray.stages import ranking
 from code_graph_rag_ray.stages.ranking import global_rank
 
 
@@ -20,35 +23,68 @@ def _expected(keys, descending):
     return {i: r + 1 for r, i in enumerate(order)}
 
 
-def _check(keys, *, descending, blocks, num_buckets):
+def _check(keys, *, descending, blocks, num_buckets, monkeypatch):
+    # the range-bucket count sets only balance; drive it directly
+    monkeypatch.setattr(ranking, "_RANGE_BUCKETS", num_buckets)
     ds = rd.from_arrow(pa.Table.from_pylist(_rows(keys))).repartition(blocks)
-    out = global_rank(ds, "key", tiebreak="id", descending=descending,
-                      num_buckets=num_buckets).take_all()
+    out = global_rank(ds, "key", tiebreak="id",
+                      descending=descending).take_all()
     exp = _expected(keys, descending)
     assert len(out) == len(keys)
     for r in out:
         assert r["rank"] == exp[r["id"]], (r, exp[r["id"]])
 
 
-def test_rank_matches_row_number_every_layout():
+def test_rank_matches_row_number_every_layout(monkeypatch):
     rng = np.random.default_rng(3)
     keys = rng.integers(0, 50, size=400).tolist()  # heavy ties
     for blocks in (1, 9):
         for nb in (1, 4, 32):
-            _check(keys, descending=True, blocks=blocks, num_buckets=nb)
-    _check(keys, descending=False, blocks=7, num_buckets=8)
+            _check(keys, descending=True, blocks=blocks, num_buckets=nb,
+                   monkeypatch=monkeypatch)
+    _check(keys, descending=False, blocks=7, num_buckets=8,
+           monkeypatch=monkeypatch)
 
 
-def test_rank_whale_key():
+def test_rank_whale_key(monkeypatch):
     # one value dominates: ranks resolved purely by tiebreak, still exact
     keys = [7] * 300 + [1, 99]
-    _check(keys, descending=True, blocks=11, num_buckets=16)
+    _check(keys, descending=True, blocks=11, num_buckets=16,
+           monkeypatch=monkeypatch)
 
 
-def test_rank_float_keys():
+def test_rank_float_keys(monkeypatch):
     rng = np.random.default_rng(5)
     keys = rng.normal(size=257).tolist()
-    _check(keys, descending=False, blocks=5, num_buckets=8)
+    _check(keys, descending=False, blocks=5, num_buckets=8,
+           monkeypatch=monkeypatch)
+
+
+@pytest.mark.parametrize("descending", [True, False])
+@pytest.mark.parametrize("kind", ["int", "string", "float"])
+def test_rank_null_keys_match_duckdb(kind, descending):
+    """Null keys rank last in both directions and float NaN above every
+    number, as DuckDB's ``row_number() OVER (ORDER BY key [DESC] NULLS
+    LAST, id)`` orders them."""
+    import duckdb
+
+    rng = np.random.default_rng(17)
+    ints = rng.integers(0, 12, size=40).tolist()
+    vals = {"int": (ints, pa.int64()),
+            "string": ([f"k{v:02d}" for v in ints], pa.string()),
+            "float": ([v + 0.5 for v in ints[:-3]] + [float("nan")] * 3,
+                      pa.float64())}[kind]
+    keys = vals[0] + [None] * 5
+    t = pa.table({"id": pa.array(range(len(keys)), pa.int64()),
+                  "key": pa.array(keys, vals[1])})
+    order = "DESC" if descending else "ASC"
+    exp = dict(duckdb.sql(
+        f"SELECT id, row_number() OVER (ORDER BY key {order} NULLS LAST, id)"
+        " FROM t").fetchall())
+    ds = rd.from_arrow(t).repartition(4)
+    got = {r["id"]: r["rank"] for r in global_rank(
+        ds, "key", tiebreak="id", descending=descending).take_all()}
+    assert got == exp
 
 
 def test_boundary_sample_is_bounded_per_block():

@@ -83,3 +83,19 @@ def test_group_rank_orders_and_ties():
     got = {(r["g"], r["id"]): r["rank"] for r in out}
     # desc by s, ties asc by id
     assert got == {("a", 3): 1, ("a", 1): 2, ("a", 2): 3, ("b", 4): 1}
+
+
+def test_group_rank_keeps_int64_values():
+    # a null and a value above 2**53 must come back as the exact int64s
+    big = 2**53 + 1
+    rows = [{"g": "a", "s": big, "id": 1}, {"g": "a", "s": None, "id": 2},
+            {"g": "a", "s": 3, "id": 3}, {"g": "b", "s": big - 2, "id": 4}]
+    t = pa.Table.from_pylist(rows, schema=pa.schema(
+        [("g", pa.string()), ("s", pa.int64()), ("id", pa.int64())]))
+    out = group_rank(ray.data.from_arrow(t).repartition(2), "g", "s",
+                     tiebreak="id")
+    schema = out.schema()
+    assert dict(zip(schema.names, schema.types))["s"] == pa.int64()
+    got = {r["id"]: (r["s"], r["rank"]) for r in out.take_all()}
+    # desc by s, nulls last
+    assert got == {1: (big, 1), 3: (3, 2), 2: (None, 3), 4: (big - 2, 1)}
