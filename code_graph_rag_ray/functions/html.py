@@ -13,7 +13,7 @@ every step is a pure string rewrite:
 
 1. drop <script>/<style> blocks and HTML comments,
 2. closing block tags (</p>, </div>, </hN>, </li>, </tr>, </title>, …) and
-   <br>/<hr> become newlines,
+   <br>/<hr> become newlines (one pass),
 3. every remaining tag becomes a single space,
 4. the six standard character entities are decoded (&amp; last),
 5. whitespace is normalized: runs of spaces/tabs collapse to one space,
@@ -30,19 +30,29 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
+# The script/style/comment passes run only when some row of the batch holds
+# one of their openers. One (?i) regex scan guards all three: a guard is
+# never stricter than the regex it guards (a lone '<sCrIpT>' batch must not
+# skip the script pass), and skipping passes that cannot match keeps the
+# byte-identity invariant.
+_DROP_GUARD = r"(?i)<script|<style|<!--"
+_DROP_STEPS: list[tuple[str, str]] = [
+    (r"(?is)<script\b[^>]*>.*?</script>", " "),
+    (r"(?is)<style\b[^>]*>.*?</style>", " "),
+    (r"(?s)<!--.*?-->", " "),
+]
+
+_BLOCK_CLOSE = r"</(?:p|div|h[1-6]|li|tr|title|ul|ol|table|head|section|article)>"
+
 # (guard_substring, pattern, replacement) applied in order with global RE2
-# replace. The guard is a cheap literal scan: when NO row of the batch
-# contains the guard, the regex pass cannot match and is skipped — each
-# skipped pass saves a full rewrite of the batch (the extract stage is
-# memory-bandwidth-bound; 13 unconditional passes → ~6 effective on typical
-# corpora). Skipping a non-matching pass is semantics-preserving, so the
-# byte-identity invariant holds.
-_REGEX_STEPS: list[tuple[str | None, str, str]] = [
-    ("<script", r"(?is)<script\b[^>]*>.*?</script>", " "),
-    ("<style", r"(?is)<style\b[^>]*>.*?</style>", " "),
-    ("<!--", r"(?s)<!--.*?-->", " "),
-    ("<", r"(?i)</(?:p|div|h[1-6]|li|tr|title|ul|ol|table|head|section|article)>", "\n"),
-    ("<", r"(?i)<(?:br|hr)\s*/?>", "\n"),
+# replace; a pass is skipped when no row of the batch holds its guard (the
+# extract stage is memory-bandwidth-bound, so each skipped pass saves a
+# full rewrite of the batch). Closing block tags and <br>/<hr> both become
+# a newline in one pass. A <br> may hold closing block tags where its
+# whitespace goes ('<br</p>>'): replaced first, they would leave a <br>
+# around a newline, so the one pass takes them as part of the <br>.
+_TAG_STEPS: list[tuple[str, str, str]] = [
+    ("<", rf"(?i){_BLOCK_CLOSE}|<(?:br|hr)(?:\s|{_BLOCK_CLOSE})*/?>", "\n"),
     ("<", r"<[^>]*>", " "),
 ]
 
@@ -56,31 +66,36 @@ _ENTITY_STEPS: list[tuple[str, str]] = [
     ("&amp;", "&"),
 ]
 
+# Runs of spaces/tabs collapse to one space. Only the runs that change
+# match: a lone space is left alone, which is most of the text's runs.
 _WS_STEPS: list[tuple[str | None, str, str]] = [
-    (None, r"[ \t\r\f\v]+", " "),
+    (None, r"[\t\r\f\v][ \t\r\f\v]*| [ \t\r\f\v]+", " "),
     ("\n", r"[ \t]*\n[ \t\n]*", "\n"),
 ]
 
 
 def _present(arr, lit: str) -> bool:
-    # ignore_case so a guard can never be stricter than its (?i) regex —
-    # otherwise batch composition would change per-row results (caught by
-    # the Hypothesis fuzz: a lone '<sCrIpT>' batch skipped the script pass)
-    return pc.any(pc.match_substring(arr, lit, ignore_case=True)).as_py() or False
+    return pc.any(pc.match_substring(arr, lit)).as_py() or False
+
+
+def _replace_steps(out, steps):
+    for guard, pattern, repl in steps:
+        if guard is None or _present(out, guard):
+            out = pc.replace_substring_regex(out, pattern=pattern, replacement=repl)
+    return out
 
 
 def extract_text_array(html: pa.Array | pa.ChunkedArray) -> pa.Array | pa.ChunkedArray:
     """Vectorized HTML→text over an Arrow string array. Pure, deterministic."""
     out = html
-    for guard, pattern, repl in _REGEX_STEPS:
-        if guard is None or _present(out, guard):
+    if pc.any(pc.match_substring_regex(out, _DROP_GUARD)).as_py():
+        for pattern, repl in _DROP_STEPS:
             out = pc.replace_substring_regex(out, pattern=pattern, replacement=repl)
+    out = _replace_steps(out, _TAG_STEPS)
     if _present(out, "&"):
         for lit, repl in _ENTITY_STEPS:
             out = pc.replace_substring(out, pattern=lit, replacement=repl)
-    for guard, pattern, repl in _WS_STEPS:
-        if guard is None or _present(out, guard):
-            out = pc.replace_substring_regex(out, pattern=pattern, replacement=repl)
+    out = _replace_steps(out, _WS_STEPS)
     return pc.utf8_trim_whitespace(out)
 
 

@@ -8,21 +8,27 @@ exact qn → receiver-type chain → suffix fallback; registry
 - the **alias dictionary** is broadcast ONCE via ``ray.put`` and each
   :class:`MentionLinker` actor rehydrates it in ``__init__`` — never
   re-shipped per batch (SURVEY.md §2.3 T1 mapping),
-- mention **detection** takes one of two paths per page, both set up once
-  per actor, the analog of cgr loading tree-sitter parsers once per
-  process (``parser_loader.py:482``). The **batch kernel**
-  (:class:`_ExactKernel`) takes every page a gate proves exact-tier:
-  ASCII text with no ``[A-Z]`` (so no cap run, no unknown span) and no
-  marker byte, on which every matched alias has one candidate. One Arrow
-  RE2 pass per batch wraps each alias match in the marker byte and splits
-  the text into alternating gap and mention pieces; mentions resolve by
-  an alias-id ``index_in`` plus a ``take``, and pair by a per-lang
-  ``index_in`` of the trimmed gaps. The gate is ASCII-only because RE2's
-  ``\\b`` is ASCII while Python's str ``\\b`` is Unicode, and RE2 offsets
-  are bytes (NOTES fact 38). Every other page takes the **per-page path**
-  ``_link_page``: one compiled alternation regex (longest alias first,
-  word-bounded), the cap-run detector and the cascade below. Both paths
-  give the same rows, merged in (page, start) order,
+- mention **detection** is one batch-level **span finder**
+  (:class:`_BatchLinker`), set up once per actor, the analog of cgr
+  loading tree-sitter parsers once per process (``parser_loader.py:482``).
+  For every page whose text is ASCII and free of the marker byte, two
+  Arrow RE2 passes per batch find the spans: the longest-first,
+  word-bounded alternation of every ASCII alias over all pages, and the
+  cap-run detector over the pages holding an uppercase letter. Each pass
+  wraps its matches in the marker byte and splits the text into
+  alternating gap and match pieces. Cap runs that are builtin surfaces or
+  overlap an alias span drop out, and the result is flat (page, start,
+  end, alias id | unknown) arrays in (page, start) order. Pages whose
+  spans are all single-candidate aliases resolve by one ``take``; the
+  rest run the chained tiers below in one Python loop over those lists.
+  Pairing (a per-lang ``index_in`` of the trimmed gaps), the external
+  drop and row assembly are array operations for every page. The span
+  finder is ASCII-only because RE2's ``\\b`` is ASCII while Python's str
+  ``\\b`` is Unicode, and RE2 offsets are bytes (NOTES fact 38): every
+  other page, and every page of the precise tier, takes the **per-page
+  path** ``_link_page`` (one compiled alternation regex, the cap-run
+  detector and the cascade). Both paths give the same rows, merged in
+  (page, start) order,
 - the **cascade** (the analog of the reference's six-step resolver,
   ``parsers/call_resolver.py:297-318``): for dictionary aliases —
   unique candidate (exact qn) → page-local *suffix* recency antecedent
@@ -193,16 +199,15 @@ class MentionLinker:
     or a plain ``pa.Table`` (tests). All setup — dictionary rehydration and
     regex compilation — happens here in ``__init__``, once per actor.
 
-    A batch takes two paths. The pages the gate proves exact-tier go
-    through the batch kernel (:class:`_ExactKernel`, one RE2 pass over all
-    of them); the rest go through ``_link_page`` one by one, unchanged.
-    The gate takes a page only if its text is ASCII (RE2's ``\\b`` and byte
-    offsets agree with Python's there), holds no ``[A-Z]`` (no cap run, so
-    no unknown span) and no marker byte, and every alias matched on it has
-    exactly one candidate. A linker whose ``_extra_spans`` adds spans (the
-    precise tier), an empty alias, or a pattern RE2 rejects sends every
-    page through ``_link_page``. No option switches the kernel: its rows
-    equal the per-page path's.
+    A batch takes two paths. Every page whose text is ASCII and holds no
+    marker byte goes through the batch path (:class:`_BatchLinker`): one
+    span finder over all of them, a ``take`` for the pages whose spans all
+    have one candidate, one loop of the chained tiers over the flat span
+    lists of the rest, and array pairing and assembly. Other pages go
+    through ``_link_page`` one by one, unchanged. A linker whose
+    ``_extra_spans`` adds spans (the precise tier), an empty alias, or a
+    pattern RE2 rejects sends every page through ``_link_page``. No
+    option switches the batch path: its rows equal the per-page path's.
     """
 
     def __init__(
@@ -251,14 +256,15 @@ class MentionLinker:
         # semantics — and every oracle built on them — are unchanged
         self._rel_norm_by_lang: dict = {}
         self._rel_norm_default = None
-        # the batch kernel links the exact-tier pages; a linker that adds
-        # spans of its own (the precise tier) sends every page through
-        # ``_link_page``, and so does an empty alias (Python's regex then
-        # matches the empty string at every word boundary)
-        self._kernel = None
+        # the batch path links every ASCII, marker-free page; a linker
+        # that adds spans of its own (the precise tier) sends every page
+        # through ``_link_page``, and so does an empty alias (Python's
+        # regex then matches the empty string at every word boundary)
+        self._batch = None
         if type(self)._extra_spans is MentionLinker._extra_spans and "" not in self.index:
             try:
-                self._kernel = _ExactKernel(self.index, self.relations, self._rel_by_lang)
+                self._batch = _BatchLinker(self.index, self.relations,
+                                           self._rel_by_lang, self.host_prior)
             except pa.ArrowInvalid:  # RE2 rejects the pattern (e.g. too large)
                 pass
 
@@ -426,9 +432,9 @@ class MentionLinker:
             c_lang.append(lang)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if self._kernel is None:
+        if self._batch is None:
             return self._link_pages(batch)[0]
-        fast, fast_pages, slow = self._kernel(batch)
+        fast, fast_pages, slow = self._batch(batch)
         if not len(slow):
             return fast
         rest, rows = self._link_pages(batch.take(slow))
@@ -471,14 +477,17 @@ class _Cols:
         )
 
 
-#: the byte the kernel wraps around every alias match
+#: the byte the span finder wraps around every match
 _MARK = "\x01"
-#: a page holding one of these takes the per-page path: an uppercase
-#: letter may start a cap run, and a marker byte would split a piece
-_GATED = r"[A-Z\x01]"
 #: the ASCII characters ``str.strip()`` removes (``str.isspace()``);
 #: Arrow's ``ascii_trim_whitespace`` keeps ``\x1c``–``\x1f``
 _ASCII_SPACE = " \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f"
+#: a page holding one of these takes the per-page path: the marker byte,
+#: or any character that is not ASCII
+_GATED = r"[^\x00\x02-\x7f]"
+_GATED_OR_UPPER = r"[^\x00\x02-\x40\x5b-\x7f]"
+_BUILTINS = pa.array(sorted(BUILTIN_SURFACES), pa.string())
+_EXACT = pa.array(["exact"], pa.string())
 
 
 def _re2_escape(alias: str) -> str:
@@ -492,30 +501,68 @@ def _utf8(col) -> pa.Array:
     return col if col.type == pa.string() else pc.cast(col, pa.string())
 
 
-class _ExactKernel:
-    """The batch path of :class:`MentionLinker`: one pass of Arrow compute
-    links and pairs every page of a batch that provably resolves on the
-    exact tier, and hands back the rest.
+def _has(text: pa.Array, pattern: str) -> np.ndarray:
+    return pc.match_substring_regex(text, pattern).to_numpy(zero_copy_only=False)
 
-    Built once per linker: the RE2 alternation of every alias that can
-    match a page passing the gate (ASCII, no uppercase letter, no marker;
-    longest first, as ``alias_re``), the alias → (ambiguous, first
-    candidate) arrays, and each relation table as a surface array plus
-    one predicate array for all tables. A pattern RE2 rejects raises
-    ``pa.ArrowInvalid`` here, once.
+
+def _offsets(text: pa.Array) -> np.ndarray:
+    """Where each string of ``text`` starts in its data buffer, and where
+    the last one ends."""
+    return np.frombuffer(text.buffers()[1], np.int32)[
+        text.offset : text.offset + len(text) + 1].astype(np.int64)
+
+
+def _matches(text: pa.Array, pattern: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, pa.Array]:
+    """Every match of ``pattern`` in an ASCII, marker-free string array,
+    as (page, start, length, surface) with ``start`` an offset into the
+    page: one RE2 pass wraps each match in the marker byte, and the split
+    gives alternating gap and match pieces, 2c + 1 for a page with c
+    matches. So match q of the array, on page p, is piece 2q + p + 1, and
+    the pieces' own offsets are text positions (ASCII: bytes are
+    characters)."""
+    pieces = pc.split_pattern(
+        pc.replace_substring_regex(text, pattern, _MARK + r"\0" + _MARK), _MARK)
+    page = np.repeat(np.arange(len(text)),
+                     pc.list_value_length(pieces).to_numpy() // 2)
+    m = 2 * np.arange(len(page)) + page + 1
+    flat = pieces.flatten()
+    pos = _offsets(flat)
+    off = _offsets(text)
+    return (page, pos[m] - pos[0] - (off[page] - off[0]), pos[m + 1] - pos[m],
+            flat.take(pa.array(m)))
+
+
+class _BatchLinker:
+    """The batch path of :class:`MentionLinker`: links and pairs every
+    ASCII, marker-free page of a batch over flat span arrays, and hands
+    back the rest.
+
+    Built once per linker: the RE2 alternation of every ASCII alias
+    (longest first, as ``alias_re``), the alias → candidates arrays, and
+    each relation table as a surface array plus one predicate array for
+    all tables. A pattern RE2 rejects raises ``pa.ArrowInvalid`` here,
+    once.
     """
 
     def __init__(self, index: dict, relations: dict[str, str],
-                 rel_by_lang: dict[str, dict[str, str]]):
-        live = sorted((a for a in index if a.isascii() and not re.search(_GATED, a)),
+                 rel_by_lang: dict[str, dict[str, str]],
+                 host_prior: dict[tuple[str, str], str]):
+        live = sorted((a for a in index if a.isascii() and _MARK not in a),
                       key=len, reverse=True)
         self.pattern = None
         if live:
             self.pattern = r"\b(?:" + "|".join(map(_re2_escape, live)) + r")\b"
             pc.replace_substring_regex(pa.array([""]), self.pattern, "")
         self.aliases = pa.array(live, pa.string())
-        self.ambiguous = np.array([len(index[a]) > 1 for a in live], bool)
-        self.eids = pa.array([index[a][0][0] for a in live], pa.string())
+        self.cands = [index[a] for a in live]
+        self.ambiguous = np.array([len(c) > 1 for c in self.cands], bool)
+        self.eids = pa.array([c[0][0] for c in self.cands], pa.string())
+        # what a multi-word alias binds on its page: its last token (for
+        # recency), its first token (context) and its initials (acronym)
+        self.binds = [(a.rsplit(" ", 1)[1], a.split(" ", 1)[0],
+                       "".join(t[0] for t in a.split())) if " " in a else None
+                      for a in live]
+        self.host_prior = host_prior
         self.langs = pa.array(list(rel_by_lang), pa.string())
         # per-lang tables first, the default table last; a None predicate
         # pairs nothing, exactly like a missing surface
@@ -525,65 +572,202 @@ class _ExactKernel:
         self.preds = pa.array([p for t in tables for p in t.values()], pa.string())
         self.pred_base = np.cumsum([0] + [len(t) for t in tables])[:-1]
 
+    def spans(self, text: pa.Array, caps: np.ndarray) -> tuple[
+            np.ndarray, np.ndarray, np.ndarray, np.ndarray, pa.Array]:
+        """The span finder: (page, start, end, alias id, surface) of every
+        span of an ASCII, marker-free string array, in (page, start)
+        order, with ``start``/``end`` offsets into the array's data buffer
+        and alias id -1 for an unknown cap run.
+
+        The alias alternation runs over every page, ``_CAP_RUN`` only over
+        the pages ``caps``, the ones holding an uppercase letter. A cap run
+        that is a builtin surface or overlaps an alias span is dropped; the
+        overlap test is one ``searchsorted`` of the sorted, disjoint alias
+        spans."""
+        off = _offsets(text)
+        page = start = length = aid = np.zeros(0, np.int64)
+        surface = pa.array([], pa.string())
+        if self.pattern is not None:
+            page, start, length, surface = _matches(text, self.pattern)
+            aid = pc.index_in(surface, self.aliases).to_numpy()
+        start = off[page] + start
+        end = start + length
+        if not len(caps):
+            return page, start, end, aid, surface
+        cpage, cstart, clen, csurface = _matches(text.take(caps), _CAP_RUN.pattern)
+        cpage = caps[cpage]
+        cstart = off[cpage] + cstart
+        cend = cstart + clen
+        # the last alias span starting before the run's end is the only
+        # one that can overlap it
+        prev_end = np.r_[-1, end][np.searchsorted(start, cend)]
+        keep = np.flatnonzero((prev_end <= cstart) & ~pc.is_in(
+            csurface, _BUILTINS).to_numpy(zero_copy_only=False))
+        page = np.r_[page, cpage[keep]]
+        start = np.r_[start, cstart[keep]]
+        order = np.argsort(start, kind="stable")
+        return (page[order], start[order], np.r_[end, cend[keep]][order],
+                np.r_[aid, np.full(len(keep), -1)][order],
+                pa.concat_arrays([surface, csurface.take(keep)]).take(order))
+
+    def chain(self, surfaces: list[str], aids: list[int], pages: list[int],
+              urls: list[str] | None) -> tuple[list[str], list[str]]:
+        """The chained tiers: the entity id and method of every span of
+        the pages that hold an unknown cap run or an ambiguous alias, in
+        (page, start) order. ``recency``, ``unique``, ``context``,
+        ``acronym`` and ``host_prior`` read earlier resolutions on the
+        same page, so this is one sequential loop: ``_link_page``'s
+        cascade over the finder's lists, with each alias's bindings
+        looked up instead of split per mention."""
+        cands_of, binds = self.cands, self.binds
+        host_prior = self.host_prior
+        n = len(surfaces)
+        eids: list[str] = [""] * n
+        methods: list[str] = [""] * n
+        cur = -1
+        for i, (surface, a, p) in enumerate(zip(surfaces, aids, pages)):
+            if p != cur:
+                cur = p
+                recent_full: dict[str, str] = {}
+                recent_prefix: dict[str, str] = {}
+                recent_acr: dict[str, str] = {}
+                seen: set[str] = set()
+                host = url_host(urls[p]) if host_prior else ""
+            if a < 0:
+                eid = None
+                if " " not in surface:
+                    eid = recent_prefix.get(surface)
+                    if eid is not None:
+                        method = "context"
+                    elif len(surface) >= 2 and surface.isupper():
+                        eid = recent_acr.get(surface)
+                        method = "acronym"
+                if eid is None and host_prior:
+                    eid = host_prior.get((host, surface))
+                    method = "host_prior"
+                if eid is None:
+                    eid, method = "ext::" + normalize_surface(surface), "external"
+                eids[i] = eid
+                methods[i] = method
+                continue
+            cands = cands_of[a]
+            bind = binds[a]
+            if len(cands) == 1:
+                eid, method = cands[0][0], "exact"
+            elif bind is None and surface in recent_full:
+                eid, method = recent_full[surface], "recency"
+            else:
+                hit: str | None = None
+                for c, _p in cands:
+                    if c in seen:
+                        if hit is None:
+                            hit = c
+                        elif hit != c:
+                            hit = None
+                            break
+                if hit is not None:
+                    eid, method = hit, "unique"
+                else:
+                    hp = host_prior.get((host, surface)) if host_prior else None
+                    if hp is not None and any(c == hp for c, _ in cands):
+                        eid, method = hp, "host_prior"
+                    else:
+                        eid, method = cands[0][0], "prior"
+            if bind is not None:
+                recent_full[bind[0]] = eid
+                recent_prefix[bind[1]] = eid
+                recent_acr[bind[2]] = eid
+            seen.add(eid)
+            eids[i] = eid
+            methods[i] = method
+        return eids, methods
+
     def __call__(self, batch: pa.Table) -> tuple[pa.Table, np.ndarray, np.ndarray]:
-        """→ (the mention rows of the pages the kernel took, in (page,
+        """→ (the mention rows of the ASCII, marker-free pages, in (page,
         start) order; the page of each row; the pages left over)."""
         text = pc.fill_null(_utf8(batch["text"]), "")
-        ok = pc.and_(pc.string_is_ascii(text),
-                     pc.invert(pc.match_substring_regex(text, _GATED)))
-        ok = ok.to_numpy(zero_copy_only=False)
-        pages = np.flatnonzero(ok)
+        # one scan finds the pages that may be gated or hold a capital;
+        # only those are scanned again, for each of the two
+        odd = np.flatnonzero(_has(text, _GATED_OR_UPPER))
+        sub = text.take(odd)
+        slow = odd[_has(sub, _GATED)]
+        upper = odd[_has(sub, "[A-Z]")]
+        pages = np.setdiff1d(np.arange(len(text)), slow)
         text = text.take(pages)
-        if self.pattern is not None:
-            text = pc.replace_substring_regex(text, self.pattern, _MARK + r"\0" + _MARK)
-        # alternating gap and mention pieces, 2k + 1 per page; ASCII, so
-        # byte lengths are character offsets
-        pieces = pc.split_pattern(text, _MARK)
-        n_pieces = pc.list_value_length(pieces).to_numpy()
-        flat = pieces.flatten()
-        lens = pc.binary_length(flat).to_numpy().astype(np.int64)
-        pos = np.cumsum(lens) - lens
-        ends = np.cumsum(n_pieces)
-        first = ends - n_pieces
-        page_of = np.repeat(np.arange(len(pages)), n_pieces)
-        m = np.flatnonzero((np.arange(len(flat)) - first[page_of]) & 1)
-        mp = page_of[m]
-        aid = pc.index_in(flat.take(m), self.aliases).to_numpy()
-        slow = np.flatnonzero(~ok)
-        bad = np.unique(mp[self.ambiguous[aid]])
-        if len(bad):
-            keep = ~np.isin(mp, bad)
-            m, mp, aid = m[keep], mp[keep], aid[keep]
-            slow = np.sort(np.r_[slow, pages[bad]])
-
-        # pairing: the trimmed gap before the next mention of the same
-        # page, looked up in the page's relation table
-        i = np.flatnonzero(m + 2 < ends[mp])
-        gaps = pc.ascii_trim(flat.take(m[i] + 1), _ASCII_SPACE)
+        urls = _utf8(batch["url"]).take(pages)
         lang = (_utf8(batch["lang"]).take(pages) if "lang" in batch.column_names
                 else pa.nulls(len(pages), pa.string()))
-        tid = pc.fill_null(pc.index_in(lang, self.langs), len(self.langs)).to_numpy()[mp[i]]
-        pred = np.full(len(m), -1, np.int64)
+        page, start, end, aid, surface = self.spans(
+            text, np.searchsorted(pages, np.setdiff1d(upper, slow)))
+        n = len(page)
+        if not n:
+            return MENTION_SCHEMA.empty_table(), page, slow
+
+        # entity and method, as indices into an entity pool and a method
+        # pool: the alias's first candidate on the pages whose spans are
+        # all single-candidate aliases, the chained tiers on the rest
+        unknown = aid < 0
+        known = np.flatnonzero(~unknown)
+        chained = np.zeros(len(pages), bool)
+        chained[page[unknown]] = True
+        chained[page[known[self.ambiguous[aid[known]]]]] = True
+        k = np.flatnonzero(chained[page])
+        eidx = aid.astype(np.int64)
+        midx = np.zeros(n, np.int64)
+        eid_pool, method_pool = self.eids, _EXACT
+        is_ext = np.zeros(n, bool)
+        if len(k):
+            # ``to_numpy().tolist()``: Arrow's ``to_pylist`` builds a
+            # scalar per string and costs about 15x more
+            eids, methods = self.chain(
+                surface.take(pa.array(k)).to_numpy(zero_copy_only=False).tolist(),
+                aid[k].tolist(), page[k].tolist(),
+                urls.to_numpy(zero_copy_only=False).tolist() if self.host_prior else None)
+            eid_pool = pa.concat_arrays([self.eids, pa.array(eids, pa.string())])
+            methods = pa.array(methods, pa.string())
+            method_pool = pa.concat_arrays([_EXACT, methods])
+            eidx[k] = len(self.eids) + np.arange(len(k))
+            midx[k] = 1 + np.arange(len(k))
+            is_ext[k] = pc.equal(methods, "external").to_numpy(zero_copy_only=False)
+
+        # pairing: the trimmed gap before the next span of the same page,
+        # looked up in the page's relation table. Every span and the gap
+        # after it is one zero-copy string array over the text buffer:
+        # element 2j is span j, element 2j + 1 the text up to span j + 1
+        bounds = np.empty(2 * n, np.int32)
+        bounds[0::2], bounds[1::2] = start, end
+        pieces = pa.Array.from_buffers(
+            pa.string(), 2 * n - 1, [None, pa.py_buffer(bounds), text.buffers()[2]])
+        i = np.flatnonzero(page[:-1] == page[1:])
+        gaps = pc.ascii_trim(pieces.take(pa.array(2 * i + 1)), _ASCII_SPACE)
+        tid = pc.fill_null(pc.index_in(lang, self.langs), len(self.langs)).to_numpy()[page[i]]
+        pred = np.full(n, -1, np.int64)
         for t in np.unique(tid):
             sel = np.flatnonzero(tid == t)
             hit = pc.fill_null(pc.index_in(gaps.take(sel), self.rel_keys[t]), -1).to_numpy()
             pred[i[sel]] = np.where(hit >= 0, hit + self.pred_base[t], -1)
-        obj = np.full(len(m), -1, np.int64)
         paired = pred >= 0
-        obj[paired] = aid[np.flatnonzero(paired) + 1]
+        in_triple = paired | np.r_[False, paired[:-1]]
 
-        start = pos[m] - pos[first[mp]]
-        rows = pages[mp]
+        # an external mention stays only inside a triple
+        rows = np.flatnonzero(~is_ext | in_triple)
+        obj = eidx[np.minimum(rows + 1, n - 1)]
+        if len(rows) < n:
+            page, start, end, eidx, midx, pred = (
+                a[rows] for a in (page, start, end, eidx, midx, pred))
+            surface = surface.take(pa.array(rows))
+        paired = pred >= 0
+        local = start - _offsets(text)[page]
         return pa.Table.from_arrays([
-            _utf8(batch["url"]).take(rows),
-            pa.array(start), pa.array(start + lens[m]),
-            flat.take(m),
-            self.eids.take(aid),
-            pa.repeat(pa.scalar("exact"), len(m)),
+            urls.take(pa.array(page)),
+            pa.array(local), pa.array(local + end - start),
+            surface,
+            eid_pool.take(pa.array(eidx)),
+            method_pool.take(pa.array(midx)),
             self.preds.take(pa.array(pred, mask=~paired)),
-            self.eids.take(pa.array(obj, mask=~paired)),
-            lang.take(mp),
-        ], schema=MENTION_SCHEMA), rows, slow
+            eid_pool.take(pa.array(obj, mask=~paired)),
+            lang.take(pa.array(page)),
+        ], schema=MENTION_SCHEMA), pages[page], slow
 
 
 _TOKEN = re.compile(r"[A-Za-z0-9]+")
@@ -904,35 +1088,42 @@ def mine_host_priors(
 
     Returns a Dataset with schema ``HOST_PRIOR_SCHEMA``.
     """
-    from code_graph_rag_ray.stages.relational import bucketed_groups, run_starts
+    from code_graph_rag_ray.stages.relational import bucketed_groups
 
-    methods = pa.array(CONFIDENT_METHODS, pa.string())
+    return bucketed_groups(mentions.map_batches(_partial_counts, batch_format="pyarrow"),
+                           ["host", "surface"], lambda g: _winners(g, min_count))
 
-    def partial(b: pa.Table) -> pa.Table:
-        f = b.filter(pc.is_in(b["method"], value_set=methods))
-        return _sum_counts(pa.table(
-            [url_hosts(f["url"]), f["surface"], f["entity_id"],
-             pa.array(np.ones(f.num_rows, np.int64))],
-            schema=HOST_PRIOR_SCHEMA))
 
-    def winners(g: pa.Table) -> pa.Table:
-        g = _sum_counts(g)
-        t = g.take(pc.sort_indices(
-            g, sort_keys=[("host", "ascending"), ("surface", "ascending"),
-                          ("n", "descending"), ("entity_id", "ascending")]
-        ))
-        n = t["n"].to_numpy(zero_copy_only=False)
-        idx = np.flatnonzero(run_starts(t, ["host", "surface"]))
-        # strict margin: winner count > runner-up count (single-candidate
-        # groups have no runner-up → margin holds by definition)
-        nxt = np.r_[idx[1:], len(n)]
-        has_runner = (nxt - idx) > 1
-        runner_n = np.where(has_runner, n[np.minimum(idx + 1, len(n) - 1)], -1)
-        keep = (n[idx] >= min_count) & (n[idx] > runner_n)
-        return t.take(pa.array(idx[keep], pa.int64()))
+def _partial_counts(b: pa.Table) -> pa.Table:
+    """One block's (host, surface, entity_id, n) counts of its confident
+    resolutions."""
+    f = b.filter(pc.is_in(b["method"], value_set=pa.array(CONFIDENT_METHODS, pa.string())))
+    return _sum_counts(pa.table(
+        [url_hosts(f["url"]), f["surface"], f["entity_id"],
+         pa.array(np.ones(f.num_rows, np.int64))],
+        schema=HOST_PRIOR_SCHEMA))
 
-    return bucketed_groups(mentions.map_batches(partial, batch_format="pyarrow"),
-                           ["host", "surface"], winners)
+
+def _winners(g: pa.Table, min_count: int) -> pa.Table:
+    """The mined priors of partial counts that hold every (host, surface)
+    group whole: per group the most-counted entity, if it has
+    ``min_count`` sightings and a strict margin over the runner-up."""
+    from code_graph_rag_ray.stages.relational import run_starts
+
+    g = _sum_counts(g)
+    t = g.take(pc.sort_indices(
+        g, sort_keys=[("host", "ascending"), ("surface", "ascending"),
+                      ("n", "descending"), ("entity_id", "ascending")]
+    ))
+    n = t["n"].to_numpy(zero_copy_only=False)
+    idx = np.flatnonzero(run_starts(t, ["host", "surface"]))
+    # strict margin: winner count > runner-up count (single-candidate
+    # groups have no runner-up → margin holds by definition)
+    nxt = np.r_[idx[1:], len(n)]
+    has_runner = (nxt - idx) > 1
+    runner_n = np.where(has_runner, n[np.minimum(idx + 1, len(n) - 1)], -1)
+    keep = (n[idx] >= min_count) & (n[idx] > runner_n)
+    return t.take(pa.array(idx[keep], pa.int64()))
 
 
 #: the delivery order of the side table, most-evidenced first; (host,

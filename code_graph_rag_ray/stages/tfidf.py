@@ -142,26 +142,21 @@ def inverted_index(
     scale decision, not a shortcut: a stopword's full posting list is
     corpus-sized, so the list is truncated by a DETERMINISTIC rule
     (smallest ids — SQL-replayable) while ``df`` stays the exact count.
-    Block-local per-group truncation (grouped_top_k) keeps a hot term's
-    shuffle at O(blocks × cap); df is the usual two-phase count; the two
-    vocab-keyed tables meet in a bucketed cogroup join, never the driver.
+    One ordered collect (``relational.grouped_collect``: block-local
+    head-k, then one bucketed exchange that joins each term's head-k ids)
+    keeps a hot term's shuffle at O(blocks × cap); df is the usual
+    two-phase count; the two vocab-keyed tables meet in a bucketed cogroup
+    join, never the driver.
     """
-    from code_graph_rag_ray.stages.relational import bucketed_join, grouped_top_k
+    from code_graph_rag_ray.stages.relational import bucketed_join, grouped_collect
 
     tf = docs.map_batches(
         lambda b: extract_tf_batch(b, id_col=id_col, text_col=text_col),
         batch_format="pyarrow",
     )
-    capped = grouped_top_k(tf, "term", id_col, max_postings, descending=False)
-
-    def concat(g: pa.Table) -> pa.Table:
-        ids = sorted(g[id_col].to_pylist())
-        return pa.table(
-            {"term": pa.array([g["term"][0].as_py()]),
-             "postings": pa.array([",".join(str(i) for i in ids)])}
-        )
-
-    postings = capped.groupby("term").map_groups(concat, batch_format="pyarrow")
+    postings = grouped_collect(tf, "term", id_col, id_col, max_postings).map_batches(
+        lambda b: pa.table({"term": b["term"], "postings": b["collected"]}),
+        batch_format="pyarrow")
     df = document_frequency(tf, id_col=id_col)
     # both sides are lazy groupby outputs — schema hints keep the join's
     # driver-side probe from executing each upstream once just for names

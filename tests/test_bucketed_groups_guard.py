@@ -42,6 +42,11 @@ PANDAS_GROUP_FINISH = re.compile(
     r"""map_groups\([^()]*(\([^()]*\)[^()]*)*batch_format\s*=\s*["']pandas["']""",
     re.S)
 
+#: a ``groupby(…).map_groups`` written out by hand: one Ray group and one
+#: UDF call per distinct key (NOTES fact 25), where ``bucketed_groups``
+#: finishes 64 buckets
+OWN_GROUPBY = re.compile(r"\.groupby\([^)]*\)\s*\.map_groups\(", re.S)
+
 SOURCES = {
     **{m.__name__: m for m in (asof, canonicalize, components, fusion, linking,
                                materialize, packing, paragraphs, paths,
@@ -87,7 +92,23 @@ def test_no_hand_rolled_bucket_shuffle(name):
         "relational.bucketed_groups")
 
 
+#: the store writer groups by its partition id on purpose: one group per
+#: partition file it writes
+OWN_GROUPBY_ALLOWED = {materialize.__name__}
+
+
+@pytest.mark.parametrize("name", sorted(set(SOURCES) - OWN_GROUPBY_ALLOWED))
+def test_no_own_groupby_map_groups(name):
+    assert not OWN_GROUPBY.search(inspect.getsource(SOURCES[name])), (
+        f"{name}: groupby(...).map_groups of its own — use "
+        "relational.bucketed_groups or grouped_collect")
+
+
 def test_guard_patterns_catch_the_old_shapes():
+    assert OWN_GROUPBY.search(
+        'capped.groupby("term").map_groups(concat, batch_format="pyarrow")')
+    assert OWN_GROUPBY.search('ds.groupby(["a", "b"])\n    .map_groups(f)')
+    assert not OWN_GROUPBY.search('ds.groupby("k").aggregate(Count())')
     assert HAND_BUCKET_GROUPBY.search('x.groupby("__bk").map_groups(f)')
     assert HAND_BUCKET_GROUPBY.search("x.groupby(['table', 'bucket'])")
     for col in ("__b", "__b2", "__kb"):
