@@ -27,6 +27,7 @@ from code_graph_rag_ray.stages.relational import (
     broadcast_join,
     broadcast_semi_join,
     partial_groupby_sum,
+    run_starts,
     top_k,
 )
 from code_graph_rag_ray.stages.text_analysis import (
@@ -1055,19 +1056,14 @@ def events_customer_outer(sf_dir: str):
         left_schema=pa.schema([("user_id", pa.int64()), ("n_events", pa.int64())]),
     )
 
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        key = df["user_id"].astype("Int64").fillna(df["c_custkey"].astype("Int64"))
-        # n_events must be float64+NaN, NOT nullable Int64: the driver
-        # hashes physical values, and DuckDB's fetchdf renders a
-        # NULL-bearing BIGINT as float64/NaN — pd.NA hashes differently.
-        return pd.DataFrame(
-            {"key": key.astype("int64"),
-             "n_events": df["n_events"].astype("float64"),
-             "c_mktsegment": df["c_mktsegment"].astype("object").where(
-                 df["c_mktsegment"].notna(), None)}
-        )
+    def finish(b: pa.Table) -> pa.Table:
+        # n_events stays int64 with nulls: to_pandas renders it float64/NaN,
+        # as DuckDB's fetchdf renders a NULL-bearing BIGINT
+        return pa.table({
+            "key": pc.coalesce(b["user_id"], b["c_custkey"]),
+            "n_events": b["n_events"], "c_mktsegment": b["c_mktsegment"]})
 
-    return j.map_batches(finish, batch_format="pandas")
+    return j.map_batches(finish, batch_format="pyarrow")
 
 
 EVENTS_CUSTOMER_OUTER_SQL = """
@@ -1446,18 +1442,17 @@ def events_value_variance(sf_dir: str):
         ["event_type"], {"v": "sum_c", "v2": "sumsq_c"}, count_alias="n",
     )
 
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
+    def finish(b: pa.Table) -> pa.Table:
         # python ints: the cross-moment products must not wrap int64
         var = [
-            float(int(n) * int(s2) - int(s) * int(s)) / float(int(n) * int(n))
-            for n, s, s2 in zip(df["n"], df["sum_c"], df["sumsq_c"])
+            float(n * s2 - s * s) / float(n * n)
+            for n, s, s2 in zip(b["n"].to_pylist(), b["sum_c"].to_pylist(),
+                                b["sumsq_c"].to_pylist())
         ]
-        return pd.DataFrame(
-            {"event_type": df["event_type"], "n": df["n"].astype("int64"),
-             "var_cents2": var}
-        )
+        return pa.table({"event_type": b["event_type"], "n": b["n"],
+                         "var_cents2": pa.array(var, pa.float64())})
 
-    return sums.map_batches(finish, batch_format="pandas")
+    return sums.map_batches(finish, batch_format="pyarrow")
 
 
 EVENTS_VALUE_VARIANCE_SQL = """
@@ -1557,16 +1552,18 @@ def doc_quality(sf_dir: str):
     ds = _pq(sf_dir, "documents", ["doc_id", "text"])
     out = ds.map_batches(quality_batch, batch_format="pyarrow")
 
-    def round6(df: pd.DataFrame) -> pd.DataFrame:
+    def round6(b: pa.Table) -> pa.Table:
         # Python round (correctly-rounded decimal) matches DuckDB's round;
         # Arrow/numpy scaled rounds can land 1 ulp off the same double.
         # Runs distributed inside tasks (3 cheap scalar cols), NOT on the
         # driver — the result stays a streaming Dataset.
         for c in ("stop_ratio", "mean_token_len", "quality"):
-            df[c] = df[c].map(lambda v: round(v, 6))
-        return df
+            vals = [None if v is None else round(v, 6) for v in b[c].to_pylist()]
+            b = b.set_column(b.schema.get_field_index(c), c,
+                             pa.array(vals, pa.float64()))
+        return b
 
-    return out.map_batches(round6, batch_format="pandas")
+    return out.map_batches(round6, batch_format="pyarrow")
 
 
 DOC_QUALITY_SQL = f"""
@@ -4955,7 +4952,7 @@ def doc_snapshot_diff(sf_dir: str):
     (stages/diff.snapshot_diff): old = documents; new = a deterministic
     next snapshot (every 10th doc removed, every 7th's text amended,
     every 13th re-added under a shifted id). Both sides reduce to
-    (key, md5 fingerprint) before ONE full-outer cogroup join — the
+    (key, md5 fingerprint) before ONE bucketed pass over their union — the
     payload never crosses the shuffle; output is the delta only."""
     from code_graph_rag_ray.stages.diff import snapshot_diff
 
@@ -5454,19 +5451,11 @@ def events_scd2(sf_dir: str):
         })
 
     rows = ds.map_batches(to_us, batch_format="pyarrow")
-    hist = scd2_history(rows, key="user_id", order_by="ts_us",
+    # valid_to is int64, NULL on each user's current interval: to_pandas
+    # renders it float64/NaN, as DuckDB's fetchdf renders a NULL-bearing
+    # BIGINT
+    return scd2_history(rows, key="user_id", order_by="ts_us",
                         state_cols=["event_type"], tiebreak="event_id")
-
-    def physical(df: pd.DataFrame) -> pd.DataFrame:
-        # valid_to is NULL on each user's current interval: return
-        # float64+NaN (what DuckDB's fetchdf yields for a NULL-bearing
-        # BIGINT) — pandas nullable Int64 hashes differently under the
-        # driver's physical value hash
-        df = df.copy()
-        df["valid_to"] = df["valid_to"].astype("float64")
-        return df
-
-    return hist.map_batches(physical, batch_format="pandas")
 
 
 EVENTS_SCD2_SQL = """
@@ -6717,23 +6706,22 @@ def events_rate_spikes(sf_dir: str):
         ["event_type", "hour"], {}, count_alias="n",
     )
 
-    def spikes(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["event_type", "hour"],
-                            kind="mergesort").reset_index(drop=True)
-        g = df.groupby("event_type")
-        pn = g["n"].shift(1)
-        ph = g["hour"].shift(1)
-        adj = (ph == df["hour"] - 1).to_numpy()
-        prev_n = np.where(adj, pn.fillna(-1).to_numpy(), -1).astype(np.int64)
-        spike = (adj & (df["n"].to_numpy() >= 2 * prev_n)
-                 & (prev_n > 0)).astype(np.int64)
-        return pd.DataFrame(
-            {"event_type": df["event_type"], "hour": df["hour"],
-             "n": df["n"].astype("int64"), "prev_n": prev_n, "spike": spike}
-        )
+    def spikes(b: pa.Table) -> pa.Table:
+        b = b.take(pc.sort_indices(b, sort_keys=[("event_type", "ascending"),
+                                                 ("hour", "ascending")]))
+        n = np.asarray(b["n"].to_numpy(), np.int64)
+        hour = b["hour"].to_numpy()
+        # the previous row is the same type's adjacent hour
+        adj = ~run_starts(b, ["event_type"])
+        adj[1:] &= hour[:-1] == hour[1:] - 1
+        prev_n = np.where(adj, np.roll(n, 1), -1)
+        spike = adj & (n >= 2 * prev_n) & (prev_n > 0)
+        return pa.table({"event_type": b["event_type"], "hour": b["hour"],
+                         "n": pa.array(n), "prev_n": pa.array(prev_n),
+                         "spike": pa.array(spike.astype(np.int64))})
 
     return counts.repartition(1).map_batches(
-        spikes, batch_format="pandas", batch_size=None
+        spikes, batch_format="pyarrow", batch_size=None
     )
 
 

@@ -12,8 +12,10 @@ code entities (``graph_updater.py`` relationship pass); co-occurrence is
 the statistical web-text analog (SURVEY.md §2.5 A2 pattern grouping).
 
 Scale shape:
-- pair expansion: ``groupby(doc).map_groups`` — fan-out is C(k,2) on the
-  per-doc DISTINCT entity count k (vocabulary-bounded), never corpus-sized;
+- pair expansion: ``relational._group_pairs``, one ``bucketed_groups``
+  pass whose Arrow finish expands all of a bucket's docs at once — fan-out
+  is C(k,2) on the per-doc DISTINCT entity count k (vocabulary-bounded),
+  never corpus-sized;
 - pair counts and entity marginals: two-phase grouped sums;
 - marginals reach the pair table ADAPTIVELY: broadcast (``ray.put`` once,
   read per actor) while the measured marginal table fits the
@@ -57,24 +59,12 @@ def entity_cooccurrence(
 
     from code_graph_rag_ray.stages.relational import (
         BROADCAST_BUDGET_BYTES,
+        _group_pairs,
         bucketed_join,
     )
 
-    def pairs(g: pa.Table) -> pa.Table:
-        ents = sorted(set(g[ent_col].to_pylist()))
-        k = len(ents)
-        if k < 2:
-            return pa.table({"a": pa.array([], pa.string()),
-                             "b": pa.array([], pa.string())})
-        ia, ib = np.triu_indices(k, 1)
-        arr = np.array(ents, dtype=object)
-        return pa.table({"a": pa.array(arr[ia]), "b": pa.array(arr[ib])})
-
-    pair_rows = mentions.groupby(doc_col).map_groups(
-        pairs, batch_format="pyarrow"
-    )
-    pair_counts = partial_groupby_sum(pair_rows, ["a", "b"], {},
-                                      count_alias="c_ab")
+    pair_counts = partial_groupby_sum(_group_pairs(mentions, doc_col, ent_col),
+                                      ["a", "b"], {}, count_alias="c_ab")
 
     # entity marginals (distinct docs per entity) + corpus size N: the
     # distinct-collapse and counts are two-phase; only vocabulary-sized
@@ -173,21 +163,11 @@ def item_cocitation(
     capped at ``max_items`` (sorted-first, deterministic) — the quadratic
     guard for hub groups; truncation is the documented skew trade at scale.
     """
-    from code_graph_rag_ray.stages.relational import bucketed_join
-
-    def pairs(g: pa.Table) -> pa.Table:
-        items = sorted(set(g[item_col].to_pylist()))[:max_items]
-        k = len(items)
-        if k < 2:
-            return pa.table({"a": pa.array([], pa.string()),
-                             "b": pa.array([], pa.string())})
-        ia, ib = np.triu_indices(k, 1)
-        arr = np.array(items, dtype=object)
-        return pa.table({"a": pa.array(arr[ia]), "b": pa.array(arr[ib])})
+    from code_graph_rag_ray.stages.relational import _group_pairs, bucketed_join
 
     ge = edges.select_columns([group_col, item_col])
     pair_counts = partial_groupby_sum(
-        ge.groupby(group_col).map_groups(pairs, batch_format="pyarrow"),
+        _group_pairs(ge, group_col, item_col, max_items=max_items),
         ["a", "b"], {}, count_alias="c_ab",
     )
 

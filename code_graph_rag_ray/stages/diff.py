@@ -6,29 +6,39 @@ The reference's change detection is per-file MD5 against a hash cache
 (``graph_updater.py:129-211``); this is the distributed two-sided analog:
 each side reduces to (key, fingerprint) — md5 over the compared columns,
 so the verdict is content-determined and SQL-replayable — and ONE
-full-outer bucketed cogroup join classifies every key as
+bucketed pass over both sides classifies every key as
 added / removed / changed (unchanged keys are dropped by default: at
 corpus scale the interesting output is the delta, not the echo).
 """
 
 from __future__ import annotations
 
-import pandas as pd
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data import Dataset
 
 from code_graph_rag_ray.functions.hashing import md5_hex_array
+from code_graph_rag_ray.stages.relational import (
+    _mapped,
+    _runs,
+    bucketed_groups,
+    run_starts,
+)
 
 
-def _fingerprints(ds: Dataset, key: str, cols: list[str]) -> Dataset:
+def _fingerprints(ds: Dataset, key: str, cols: list[str], side: int) -> Dataset:
+    """(key, __fp, __side): the md5 of each row's compared columns, tagged
+    with its snapshot (0 old, 1 new)."""
+
     def fp(b: pa.Table) -> pa.Table:
         joined = pc.binary_join_element_wise(
             *[pc.cast(b[c], pa.string()) for c in cols], "\x1f"
         )
-        return pa.table({key: b[key], "__fp": md5_hex_array(joined)})
+        return pa.table({key: b[key], "__fp": md5_hex_array(joined),
+                         "__side": pa.array(np.full(b.num_rows, side, np.int8))})
 
-    return ds.map_batches(fp, batch_format="pyarrow")
+    return _mapped(ds, fp)
 
 
 def snapshot_diff(
@@ -44,37 +54,32 @@ def snapshot_diff(
 
     Both sides shrink to (key, md5-fingerprint) rows BEFORE the shuffle
     (the compared payload never crosses the exchange), then one
-    full-outer bucketed join classifies per key. Assumes ``key`` is
-    unique per side (a snapshot primary key); fingerprints are
-    md5-of-joined-columns so DuckDB replays the exact verdicts.
+    ``bucketed_groups`` pass over their tagged union classifies every key
+    in Arrow. Assumes ``key`` is unique and non-null per side (a snapshot
+    primary key) and of one type on both sides, which it keeps;
+    fingerprints are md5-of-joined-columns so DuckDB replays the exact
+    verdicts.
     """
-    from code_graph_rag_ray.stages.relational import bucketed_join
 
-    o = _fingerprints(old, key, compare_cols)
-    n = _fingerprints(new, key, compare_cols).map_batches(
-        lambda b: pa.table({"__nk": b[key], "__nfp": b["__fp"]}),
-        batch_format="pyarrow",
-    )
-    j = bucketed_join(
-        o, n, on=key, right_on="__nk", how="outer",
-        left_schema=pa.schema([(key, pa.int64()), ("__fp", pa.string())]),
-        right_schema=pa.schema([("__nk", pa.int64()), ("__nfp", pa.string())]),
-    )
+    def classify(t: pa.Table) -> pa.Table:
+        # per key: its old row, then its new row
+        t = t.take(pc.sort_indices(t, sort_keys=[(key, "ascending"),
+                                                 ("__side", "ascending")]))
+        starts, lens, _ = _runs(run_starts(t, [key]))
+        side = t["__side"].to_numpy()[starts]
+        same = pc.equal(t["__fp"].take(starts),
+                        t["__fp"].take(np.minimum(starts + 1, t.num_rows - 1)))
+        status = np.where(lens == 1, np.where(side == 0, "removed", "added"),
+                          np.where(same.to_numpy(zero_copy_only=False),
+                                   "unchanged", "changed"))
+        out = pa.table({key: t[key].take(starts),
+                        "status": pa.array(status.astype(object), pa.string())})
+        if keep_unchanged:
+            return out
+        return out.filter(pc.not_equal(out["status"], "unchanged"))
 
-    def classify(df: pd.DataFrame) -> pd.DataFrame:
-        has_old = df["__fp"].notna()
-        has_new = df["__nfp"].notna()
-        status = pd.Series("unchanged", index=df.index, dtype="object")
-        status[~has_old & has_new] = "added"
-        status[has_old & ~has_new] = "removed"
-        status[has_old & has_new & (df["__fp"] != df["__nfp"])] = "changed"
-        k = df[key].astype("Int64").fillna(df["__nk"].astype("Int64"))
-        out = pd.DataFrame({key: k.astype("int64"), "status": status})
-        if not keep_unchanged:
-            out = out[out["status"] != "unchanged"]
-        return out.reset_index(drop=True)
-
-    return j.map_batches(classify, batch_format="pandas")
+    return bucketed_groups([_fingerprints(old, key, compare_cols, 0),
+                            _fingerprints(new, key, compare_cols, 1)], key, classify)
 
 
 def diff_materialized(a_dir: str, b_dir: str, *, on: list[str]) -> Dataset:
@@ -166,41 +171,32 @@ def scd2_history(
     snapshots, this folds the full observation history into the
     change-data-capture table a warehouse would keep.
 
-    Distributed as a per-key ``map_groups`` — one key's history sorts and
-    scans in one task (histories are version-bounded; a key hot enough to
-    overflow a worker should be windowed upstream). ``tiebreak`` makes
+    One ``bucketed_groups`` pass: each bucket sorts its rows by (key,
+    order_by, tiebreak) once, and a run of consecutive equal states (nulls
+    equal) is one interval, in Arrow — a key's history sorts and scans in
+    one task (histories are version-bounded; a key hot enough to overflow
+    a worker should be windowed upstream). ``tiebreak`` makes
     equal-``order_by`` observations deterministic, which the oracle
     (lag/lead window functions) requires. ``order_by`` must be int64
-    (epoch µs — NOTES.md: timestamps drift resolution across pandas
-    boundaries); ``valid_to`` is nullable Int64 for the same reason.
+    (epoch µs); ``valid_from`` and ``valid_to`` are int64 (``valid_to``
+    null on the current interval) and the state columns keep their types.
     """
-    import numpy as np
-    import pandas as pd
+    by = [key, order_by] + ([tiebreak] if tiebreak else [])
 
-    by = [order_by] + ([tiebreak] if tiebreak else [])
-
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(by, kind="mergesort")
-        st = g[state_cols].reset_index(drop=True)
-        chg = np.ones(len(g), bool)
-        if len(g) > 1:
-            same = np.ones(len(g) - 1, bool)
-            for c in state_cols:
-                a = st[c].to_numpy()
-                same &= (a[1:] == a[:-1]) | (pd.isna(a[1:]) & pd.isna(a[:-1]))
-            chg[1:] = ~same
-        starts = np.flatnonzero(chg)
-        frm = g[order_by].to_numpy()[starts]
-        out = pd.DataFrame({
-            key: np.repeat(g[key].iloc[0], len(starts)),
-            **{c: st[c].to_numpy()[starts] for c in state_cols},
-            "valid_from": frm.astype(np.int64),
+    def fold(t: pa.Table) -> pa.Table:
+        t = t.take(pc.sort_indices(t, sort_keys=[(c, "ascending") for c in by]))
+        starts, lens, _ = _runs(run_starts(t, [key, *state_cols]))
+        opens_key = run_starts(t, [key])[starts]
+        frm = pc.cast(t[order_by], pa.int64()).to_numpy()[starts]
+        return pa.table({
+            key: t[key].take(starts),
+            **{c: t[c].take(starts) for c in state_cols},
+            "valid_from": pa.array(frm, pa.int64()),
+            # the next interval's start; null where the next interval opens
+            # another key (the table's first row always opens one)
+            "valid_to": pa.array(np.roll(frm, -1), pa.int64(),
+                                 mask=np.roll(opens_key, -1)),
+            "n_obs": pa.array(lens, pa.int64()),
         })
-        nxt = np.empty(len(starts), object)
-        nxt[:-1] = frm[1:]
-        nxt[-1] = None
-        out["valid_to"] = pd.array(nxt, dtype="Int64")
-        out["n_obs"] = np.diff(np.append(starts, len(g))).astype(np.int64)
-        return out
 
-    return ds.groupby(key).map_groups(fold, batch_format="pandas")
+    return bucketed_groups(ds, key, fold)

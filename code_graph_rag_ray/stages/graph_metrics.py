@@ -269,7 +269,8 @@ def triangles(edges: Dataset, *, a: str = "a", b: str = "b") -> Dataset:
 
     Plan (all existing primitives): degree per node (one two-phase sum) →
     degrees joined onto both endpoints (two bucketed cogroup joins) →
-    orient → wedges per center (groupby.map_groups, out-neighbors only) →
+    orient → wedges per center (``relational._group_pairs``, one bucketed
+    pass over out-neighbors only) →
     wedge (v, w) semi-joined against the canonical edge-key set (one more
     bucketed join). Output one row per triangle, vertices sorted
     (ta < tb < tc — matches the SQL a<b<c listing convention).
@@ -278,7 +279,7 @@ def triangles(edges: Dataset, *, a: str = "a", b: str = "b") -> Dataset:
     Memgraph queries (`graph_service.py` summary Cypher); triangle counts /
     clustering structure is the corpus-scale analog computed in-engine.
     """
-    from code_graph_rag_ray.stages.relational import adaptive_join
+    from code_graph_rag_ray.stages.relational import _group_pairs, adaptive_join
 
     deg = degree_stats(edges, src=a, dst=b).map_batches(
         lambda t: pa.table(
@@ -303,37 +304,17 @@ def triangles(edges: Dataset, *, a: str = "a", b: str = "b") -> Dataset:
         right_schema=pa.schema([("node", pa.string()), ("deg_b", pa.int64())]))
 
     def orient(t: pa.Table) -> pa.Table:
-        av = np.asarray(t[a].to_pandas(), dtype=object)
-        bv = np.asarray(t[b].to_pandas(), dtype=object)
-        da = t["deg"].to_numpy(zero_copy_only=False)
-        db = t["deg_b"].to_numpy(zero_copy_only=False)
-        a_first = (da < db) | ((da == db) & (av < bv))
-        src = np.where(a_first, av, bv)
-        dst = np.where(a_first, bv, av)
-        return pa.table({"src": pa.array(src, pa.string()),
-                         "dst": pa.array(dst, pa.string())})
+        da, db = t["deg"], t["deg_b"]
+        a_first = pc.or_(pc.less(da, db),
+                         pc.and_(pc.equal(da, db), pc.less(t[a], t[b])))
+        return pa.table({"src": pc.if_else(a_first, t[a], t[b]),
+                         "dst": pc.if_else(a_first, t[b], t[a])})
 
     oriented = with_deg.map_batches(orient, batch_format="pyarrow")
 
-    def wedges(g: pa.Table) -> pa.Table:
-        outs = sorted(g["dst"].to_pylist())
-        k = len(outs)
-        if k < 2:
-            return pa.table({"center": pa.array([], pa.string()),
-                             "v": pa.array([], pa.string()),
-                             "w": pa.array([], pa.string())})
-        ia, ib = np.triu_indices(k, 1)
-        arr = np.array(outs, dtype=object)
-        n = len(ia)
-        return pa.table({
-            "center": pa.array([g["src"][0].as_py()] * n, pa.string()),
-            "v": pa.array(arr[ia], pa.string()),
-            "w": pa.array(arr[ib], pa.string()),
-        })
-
-    wedge_rows = oriented.groupby("src").map_groups(
-        wedges, batch_format="pyarrow"
-    )
+    # wedges: every pair v < w of a center's out-neighbors (the input is
+    # distinct, so each (center, dst) row is already one neighbor)
+    wedge_rows = _group_pairs(oriented, "src", "dst")
     # close wedges against the edge set: composite-key SEMI join — only
     # the right's key columns cross the shuffle, wedge payload stays as
     # real (v, w) columns (no ad-hoc concatenated-string key)
@@ -341,16 +322,16 @@ def triangles(edges: Dataset, *, a: str = "a", b: str = "b") -> Dataset:
 
     closed = bucketed_join(
         wedge_rows, edges.select_columns([a, b]),
-        on=["v", "w"], right_on=[a, b], how="semi",
-        left_schema=pa.schema([("center", pa.string()), ("v", pa.string()),
-                               ("w", pa.string())]),
+        on=["a", "b"], right_on=[a, b], how="semi",
+        left_schema=pa.schema([("src", pa.string()), ("a", pa.string()),
+                               ("b", pa.string())]),
         right_schema=pa.schema([(a, pa.string()), (b, pa.string())]),
     )
 
     def finish(t: pa.Table) -> pa.Table:
         # v < w by wedge construction: sorting (center, v, w) reduces to
         # inserting center into the ordered pair — three if_else kernels
-        c, v, w = t["center"], t["v"], t["w"]
+        c, v, w = t["src"], t["a"], t["b"]
         c_lt_v = pc.less(c, v)
         c_gt_w = pc.greater(c, w)
         return pa.table({

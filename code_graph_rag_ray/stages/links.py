@@ -200,16 +200,22 @@ def anchor_summary(links: Dataset, corpus_urls: Dataset) -> Dataset:
     - ``top_anchor`` — the most frequent anchor (ties → lexicographically
       smallest, so the result is deterministic and oracle-exact).
 
-    Scale shape: one bucketed SEMI join keeps only internal targets (both
-    sides corpus-scale, never a broadcast), then ONE combiner-first
-    ``(dst, anchor)`` count shuffle; the final per-dst pass groups the
-    already-tiny count table (rows = distinct anchors per dst, not inbound
-    degree), so a whale target (everyone links to the same page) exchanges
-    O(blocks × anchors), never its in-degree.
-    """
-    import pandas as pd
+    A null anchor is one anchor of its own (SQL ``GROUP BY``) and sorts
+    after every other anchor on a count tie.
 
-    from code_graph_rag_ray.stages.relational import bucketed_join, partial_groupby_sum
+    Scale shape: one bucketed SEMI join keeps only internal targets (both
+    sides corpus-scale, never a broadcast), then every block pre-counts
+    its ``(dst, anchor)`` pairs and ONE bucketed pass keyed on the dst
+    completes the counts and summarizes each dst in Arrow
+    (``relational._counted_groups``), so a whale target (everyone links
+    to the same page) exchanges O(blocks × anchors), never its in-degree.
+    """
+    from code_graph_rag_ray.stages.relational import (
+        _counted_groups,
+        _runs,
+        bucketed_join,
+        run_starts,
+    )
 
     internal = bucketed_join(
         links,
@@ -222,25 +228,21 @@ def anchor_summary(links: Dataset, corpus_urls: Dataset) -> Dataset:
         ),
         right_schema=pa.schema([("url", pa.string())]),
     )
-    counts = partial_groupby_sum(
-        internal.select_columns(["target", "anchor"]),
-        ["target", "anchor"],
-        {},
-        count_alias="n",
-    )
 
-    def summarize(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["n", "anchor"], ascending=[False, True], kind="mergesort")
-        return pd.DataFrame(
-            {
-                "dst_url": [g["target"].iloc[0]],
-                "n_links": [int(g["n"].sum())],
-                "n_anchors": [len(g)],
-                "top_anchor": [g["anchor"].iloc[0]],
-            }
-        )
+    def summarize(t: pa.Table) -> pa.Table:
+        t = t.take(pc.sort_indices(t, sort_keys=[
+            ("target", "ascending"), ("n", "descending"), ("anchor", "ascending")]))
+        starts, lens, _ = _runs(run_starts(t, ["target"]))
+        n = t["n"].to_numpy()
+        return pa.table({
+            "dst_url": t["target"].take(starts),
+            "n_links": pa.array(np.add.reduceat(n, starts) if len(starts) else n,
+                                pa.int64()),
+            "n_anchors": pa.array(lens, pa.int64()),
+            "top_anchor": t["anchor"].take(starts),
+        })
 
-    return counts.groupby("target").map_groups(summarize, batch_format="pandas")
+    return _counted_groups(internal, "target", "anchor", summarize)
 
 
 def mine_anchor_aliases(

@@ -1,15 +1,22 @@
 """Exact distributed grouped quantiles (discrete / percentile_disc semantics).
 
-Shape: two-phase value-count histogram (per-batch Arrow combiner → small
-global groupby over (key, value) partials — a hot value exchanges
-O(blocks) rows, not O(rows)), then a per-key ``map_groups`` walks the
-sorted histogram and picks each requested quantile.
+Shape: combiner-first value counts finished per key
+(``relational._counted_groups``): each block emits one (key, value, n)
+row per distinct pair with an Arrow ``group_by``, then ONE
+``bucketed_groups`` pass keyed on the key completes the counts and picks
+every requested quantile of all the bucket's keys in one vectorized pass
+over the sorted histogram — a hot value exchanges O(blocks) rows, not
+O(rows).
 
 Selection rule = SQL ``percentile_disc`` / DuckDB ``quantile_disc``:
 the smallest value whose cumulative distribution ``cum/n >= q``, with
 ``cum/n`` computed as ONE int/int IEEE-754 double division — verified
 empirically to reproduce DuckDB bit-for-bit including the q=0.9, n=10
 case where a float ``ceil(q*n)`` rule diverges (0.9*10 rounds above 9).
+
+Nulls follow DuckDB: a null value counts in ``n`` (``count(*)``) but
+not in the distribution, and a key without a non-null value gets null
+quantiles.
 
 Scale note: the shuffled state is the per-group distinct-value histogram,
 so this is exact AND cheap for discrete-ish columns (lengths, counts,
@@ -25,10 +32,34 @@ profiling for curation cutoffs.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data import Dataset
+
+from code_graph_rag_ray.stages.relational import _counted_groups, _runs, run_starts
+
+
+def _histogram_quantiles(ds: Dataset, key: str, value_col: str, pick) -> Dataset:
+    """One (key, n, <pick columns>) row per key. ``pick(vals, cum, starts,
+    lens, nn)`` gets a bucket's histogram sorted by (key, value), nulls
+    last in each key: its value column, the running count of non-null
+    rows over the whole bucket, the keys' runs and their non-null row
+    counts. It returns {alias: one array per key}."""
+
+    def finish(t: pa.Table) -> pa.Table:
+        t = t.take(pc.sort_indices(
+            t, sort_keys=[(key, "ascending"), (value_col, "ascending")]))
+        starts, lens, _ = _runs(run_starts(t, [key]))
+        cnt = t["n"].to_numpy()
+        counted = np.where(pc.is_valid(t[value_col]).to_numpy(
+            zero_copy_only=False), cnt, 0)
+        cum = np.cumsum(counted)
+        nn = np.add.reduceat(counted, starts) if len(starts) else cnt[:0]
+        n = np.add.reduceat(cnt, starts) if len(starts) else cnt[:0]
+        return pa.table({key: t[key].take(starts), "n": pa.array(n, pa.int64()),
+                         **pick(t[value_col], cum, starts, lens, nn)})
+
+    return _counted_groups(ds, key, value_col, finish)
 
 
 def grouped_quantiles(
@@ -41,31 +72,24 @@ def grouped_quantiles(
     """Per-``key`` exact quantiles of ``value_col``.
 
     ``qs`` maps output column name → quantile in (0, 1]. Returns one row
-    per key: (key, n, <alias...>) with aliases in ``qs`` insertion order.
+    per key: (key, n, <alias...>) with aliases in ``qs`` insertion order;
+    the quantiles keep the value column's type.
     """
-    from code_graph_rag_ray.stages.relational import partial_groupby_sum
 
-    hist = partial_groupby_sum(
-        ds.select_columns([key, value_col]), [key, value_col], {}, count_alias="cnt"
-    )
+    def pick(vals, cum, starts, lens, nn):
+        # each row's cume_dist in its key, ONE int/int double division; it
+        # never falls inside a key, so the rows below q give the offset
+        base = np.append(0, cum)[starts]
+        cd = (cum - np.repeat(base, lens)) / np.repeat(
+            np.maximum(nn, 1), lens).astype(np.float64)
+        out = {}
+        for alias, q in qs.items():
+            below = (np.add.reduceat((cd < np.float64(q)).astype(np.int64), starts)
+                     if len(starts) else starts)
+            out[alias] = vals.take(pa.array(starts + below, pa.int64(), mask=nn == 0))
+        return out
 
-    aliases = list(qs)
-    probs = np.array([qs[a] for a in aliases], dtype=np.float64)
-
-    def pick(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(value_col, kind="mergesort")
-        vals = g[value_col].to_numpy()
-        cum = g["cnt"].to_numpy().cumsum()
-        n = cum[-1]
-        # cume_dist comparison, elementwise over the histogram × quantiles
-        cd = cum.astype(np.float64) / np.float64(n)
-        idx = np.argmax(cd[:, None] >= probs[None, :], axis=0)
-        out = {key: [g[key].iloc[0]], "n": np.array([n], dtype=np.int64)}
-        for j, alias in enumerate(aliases):
-            out[alias] = vals[idx[j] : idx[j] + 1]
-        return pd.DataFrame(out)
-
-    return hist.groupby(key).map_groups(pick, batch_format="pandas")
+    return _histogram_quantiles(ds, key, value_col, pick)
 
 
 def grouped_quantiles_cont(
@@ -76,44 +100,39 @@ def grouped_quantiles_cont(
     qs: dict[str, float],
 ) -> Dataset:
     """Per-``key`` INTERPOLATED quantiles (``percentile_cont`` semantics):
-    position p = q·(n−1) over the sorted rows, result =
+    position p = q·(n−1) over the sorted non-null rows, result =
     v[⌊p⌋] + (p − ⌊p⌋)·(v[⌊p⌋+1] − v[⌊p⌋]).
 
-    Same two-phase value-count-histogram shape as
-    :func:`grouped_quantiles` (a hot value exchanges O(blocks) rows); the
-    per-key pick walks cumulative counts to the two neighbor ROW indices
-    and interpolates. The oracle does NOT use the engine-internal
+    Same combiner-first histogram as :func:`grouped_quantiles` (a hot
+    value exchanges O(blocks) rows); the finish finds the two neighbor
+    ROW indices of every key with one ``searchsorted`` over the running
+    counts and interpolates. The oracle does NOT use the engine-internal
     ``quantile_cont`` (whose interpolation op order is unspecified) — it
     replays this exact expression with window SQL, so the single
     multiply-add is bit-identical on both sides.
     """
-    from code_graph_rag_ray.stages.relational import partial_groupby_sum
 
-    hist = partial_groupby_sum(
-        ds.select_columns([key, value_col]), [key, value_col], {}, count_alias="cnt"
-    )
+    def pick(vals, cum, starts, lens, nn):
+        base = np.append(0, cum)[starts]
+        v = np.asarray(pc.fill_null(vals, 0).to_numpy(zero_copy_only=False)
+                       ).astype(np.float64)
 
-    aliases = list(qs)
-    probs = np.array([qs[a] for a in aliases], dtype=np.float64)
+        def at(r):
+            # sorted row r of a key = its first histogram row with cum > r
+            return v[np.minimum(np.searchsorted(cum, base + r + 1, side="left"),
+                                len(v) - 1)]
 
-    def pick(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(value_col, kind="mergesort")
-        vals = g[value_col].to_numpy().astype(np.float64)
-        cum = g["cnt"].to_numpy().cumsum()
-        n = int(cum[-1])
-        out = {key: [g[key].iloc[0]], "n": np.array([n], dtype=np.int64)}
-        for j, alias in enumerate(aliases):
-            p = probs[j] * np.float64(n - 1)
+        out = {}
+        for alias, q in qs.items():
+            p = np.float64(q) * (nn - 1).astype(np.float64)
             lo = np.floor(p)
-            hi = min(int(lo) + 1, n - 1)
-            # value at sorted row index r = first histogram bucket with
-            # cum >= r+1 (well-defined under duplicate values)
-            vlo = vals[np.searchsorted(cum, int(lo) + 1, side="left")]
-            vhi = vals[np.searchsorted(cum, hi + 1, side="left")]
-            out[alias] = np.array([vlo + (p - lo) * (vhi - vlo)], np.float64)
-        return pd.DataFrame(out)
+            vlo = at(lo.astype(np.int64))
+            vhi = at(np.minimum(lo.astype(np.int64) + 1, nn - 1))
+            out[alias] = pa.array(vlo + (p - lo) * (vhi - vlo), pa.float64(),
+                                  mask=nn == 0)
+        return out
 
-    return hist.groupby(key).map_groups(pick, batch_format="pandas")
+    return _histogram_quantiles(ds, key, value_col, pick)
 
 
 def grouped_mad_outliers(
@@ -129,8 +148,9 @@ def grouped_mad_outliers(
     z-scores for corpus curation cutoffs (doc lengths are power-law-ish;
     mean/stddev are dragged by the tail, median/MAD are not).
 
-    Two rounds of :func:`grouped_quantiles` (each a two-phase value-count
-    histogram — scale-safe for integer-ish columns), the per-group
+    Two rounds of :func:`grouped_quantiles` (each a combiner-first
+    value-count histogram with one exchange — scale-safe for integer-ish
+    columns), the per-group
     median/MAD tables are group-cardinality-sized and broadcast via the
     object store (never the driver); everything else is a vectorized
     Arrow filter. Integer in → integer comparisons → bit-exact vs a SQL
@@ -164,7 +184,7 @@ def grouped_mad_outliers(
         f = b.filter(m)
         return pa.table(
             {id_col: f[id_col], key: f[key], value_col: f[value_col],
-             "adev": f["adev"], "mad": pc.cast(f["mad"], pa.int64())}
+             "adev": f["adev"], "mad": f["mad"]}
         )
 
     return broadcast_join(dev, mad, on=key).map_batches(

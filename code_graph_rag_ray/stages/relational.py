@@ -697,6 +697,78 @@ def _join_runs(t: pa.Table, starts: np.ndarray, col: str, sep: str) -> pa.Array:
     return pc.binary_join(pa.ListArray.from_arrays(offsets, vals), sep)
 
 
+def _mapped(ds: Dataset, fn, **kwargs) -> Dataset:
+    """``ds.map_batches(fn)`` in Arrow. Ray calls no UDF on an empty block,
+    so a map over an input already materialized empty would lose its
+    schema; there ``fn`` runs once on the typed empty table instead and
+    the result stays materialized, which keeps the :func:`bucketed_groups`
+    it feeds typed."""
+    import ray.data as rd
+    from ray.data.dataset import MaterializedDataset
+
+    if isinstance(ds, MaterializedDataset) and ds.count() == 0:
+        schema = getattr(ds.schema(), "base_schema", None)
+        if isinstance(schema, pa.Schema):
+            return rd.from_arrow(fn(schema.empty_table()))
+    return ds.map_batches(fn, batch_format="pyarrow", **kwargs)
+
+
+def _group_pairs(ds: Dataset, group: str, item: str, *,
+                 max_items: int | None = None) -> Dataset:
+    """(group, a, b): every pair ``a < b`` of the distinct ``item`` values
+    that share a ``group``, one :func:`bucketed_groups` pass. Rows with a
+    null group or item pair with nothing (an SQL self-join on the group
+    never matches them). ``max_items`` pairs only a group's first items
+    in sort order: the quadratic guard for hub groups.
+
+    Each bucket sorts once, keeps the first row of every (group, item)
+    run, and expands every group of k items into its C(k, 2) pairs with
+    vectorised per-run ``triu`` offsets: row i of a run pairs with the
+    rows after it, in ``np.triu_indices`` order."""
+
+    def pairs(t: pa.Table) -> pa.Table:
+        t = t.select([group, item])
+        t = t.filter(pc.and_(pc.is_valid(t[group]), pc.is_valid(t[item])))
+        t = t.take(pc.sort_indices(t, sort_keys=[(group, "ascending"),
+                                                 (item, "ascending")]))
+        t = t.filter(pa.array(run_starts(t, [group, item])))
+        _, lens, pos = _runs(run_starts(t, [group]))
+        if max_items is not None:
+            lens = np.minimum(lens, max_items)
+            t = t.filter(pa.array(pos < max_items))
+            pos = pos[pos < max_items]
+        fan = np.repeat(lens, lens) - 1 - pos
+        ia = np.repeat(np.arange(t.num_rows), fan)
+        ib = ia + 1 + np.arange(len(ia)) - np.repeat(np.cumsum(fan) - fan, fan)
+        ia, ib = pa.array(ia, pa.int64()), pa.array(ib, pa.int64())
+        return pa.table({group: t[group].take(ia), "a": t[item].take(ia),
+                         "b": t[item].take(ib)})
+
+    return bucketed_groups(ds, group, pairs)
+
+
+def _counted_groups(ds: Dataset, key: str, inner: str, fn) -> Dataset:
+    """Count the rows of every (``key``, ``inner``) pair and finish them
+    per ``key``: each block emits one (key, inner, n) row per pair it holds
+    (an Arrow ``group_by`` combiner), then one :func:`bucketed_groups` pass
+    keyed on ``key`` alone completes the sums and calls ``fn`` with them,
+    unsorted. A hot key exchanges O(blocks × its distinct inner values),
+    never its row count. A null ``key`` or ``inner`` is a group of its own
+    (SQL ``GROUP BY``)."""
+
+    def partial(b: pa.Table) -> pa.Table:
+        g = pa.TableGroupBy(b.select([key, inner]), [key, inner],
+                            use_threads=False).aggregate([([], "count_all")])
+        return pa.table({key: g[key], inner: g[inner], "n": g["count_all"]})
+
+    def finish(t: pa.Table) -> pa.Table:
+        g = pa.TableGroupBy(t, [key, inner], use_threads=False).aggregate(
+            [("n", "sum")])
+        return fn(pa.table({key: g[key], inner: g[inner], "n": g["n_sum"]}))
+
+    return bucketed_groups(_mapped(ds, partial), key, finish)
+
+
 def grouped_top_k(
     ds: Dataset,
     group: str,
@@ -723,8 +795,7 @@ def grouped_top_k(
     def local(b: pa.Table) -> pa.Table:
         return _head_k(b, sort_keys, k)
 
-    return bucketed_groups(ds.map_batches(local, batch_format="pyarrow"),
-                           group, local)
+    return bucketed_groups(_mapped(ds, local), group, local)
 
 
 def grouped_collect(
@@ -771,8 +842,7 @@ def grouped_collect(
             "n_collected": pa.array(lens, pa.int64()),
         })
 
-    return bucketed_groups(ds.map_batches(local, batch_format="pyarrow"),
-                           group, collect)
+    return bucketed_groups(_mapped(ds, local), group, collect)
 
 
 def grouped_trimmed_sum(
@@ -850,5 +920,4 @@ def grouped_trimmed_sum(
                                       pc.cast(nk, pa.float64())),
         })
 
-    return bucketed_groups(ds.map_batches(local, batch_format="pyarrow"),
-                           group, merge)
+    return bucketed_groups(_mapped(ds, local), group, merge)

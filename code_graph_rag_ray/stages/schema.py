@@ -15,30 +15,42 @@ source→rel→target legality matrix (``docs/architecture/graph-schema.md:
   endpoints.
 
 Scale shape: the label map is dictionary-scale → broadcast once (``ray.put``
-+ per-worker cache) and looked up inside one stateless ``map_batches``;
-external labels need no lookup at all. Validation is a single streaming
-pass — no join, no shuffle — vectorized per rule (few rules, pandas masks),
-never a per-row Python loop.
++ per-worker cache, as two Arrow arrays) and looked up with one
+``index_in`` inside a stateless Arrow ``map_batches``; external labels
+need no lookup at all. Validation is a single streaming pass — no join,
+no shuffle — vectorized per rule (few rules, Arrow masks), never a
+per-row Python loop.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 from ray.data import Dataset
 
 from code_graph_rag_ray.functions.broadcast import get_broadcast_transformed
 from code_graph_rag_ray.stages.canonicalize import entity_type_map
+from code_graph_rag_ray.stages.relational import _mapped, _runs, run_starts
 
 # legality matrix type: pred -> (allowed subj labels | None, allowed obj
 # labels | None); preds absent from the matrix are unconstrained
 Legality = dict[str, tuple[frozenset[str] | None, frozenset[str] | None]]
 
 
-def _labels_for(col: pd.Series, types: dict[str, str]) -> np.ndarray:
-    ext = col.str.startswith("ext::").to_numpy()
-    mapped = col.map(types).fillna("Entity").to_numpy()
-    return np.where(ext, "ExternalEntity", mapped)
+def _type_arrays(alias_tbl: pa.Table) -> tuple[pa.Array, pa.Array]:
+    """:func:`entity_type_map` as aligned (entity id, label) arrays."""
+    types = entity_type_map(alias_tbl)
+    return pa.array(list(types), pa.string()), pa.array(list(types.values()), pa.string())
+
+
+def _labels_for(col, types: tuple[pa.Array, pa.Array]):
+    """Node label per entity id: ``ExternalEntity`` for a minted ``ext::``
+    id, else the dictionary's label (``Entity`` when it has none)."""
+    ids, labels = types
+    mapped = pc.fill_null(pc.take(labels, pc.index_in(col, value_set=ids)), "Entity")
+    return pc.if_else(pc.fill_null(pc.starts_with(col, "ext::"), False),
+                      "ExternalEntity", mapped)
 
 
 def validate_edges(
@@ -67,32 +79,28 @@ def validate_edges(
         for p, (s, o) in legality.items()
     }
 
-    def check(df: pd.DataFrame) -> pd.DataFrame:
-        types = get_broadcast_transformed(alias_ref, "etype_map", entity_type_map)
-        viol = pd.Series([None] * len(df), index=df.index, dtype=object)
-        slab = olab = None
-        for pred, (src_ok, dst_ok) in rules.items():
-            m = (df["pred"] == pred).to_numpy()
-            if not m.any():
+    def check(b: pa.Table) -> pa.Table:
+        types = get_broadcast_transformed(alias_ref, "etype_arrays", _type_arrays)
+        viol = pa.chunked_array([pa.nulls(b.num_rows, pa.string())])
+        labels = {}
+        for pred, sides in rules.items():
+            m = pc.fill_null(pc.equal(b["pred"], pred), False)
+            if not pc.any(m).as_py():
                 continue
-            if src_ok is not None:
-                if slab is None:
-                    slab = _labels_for(df["subj"], types)
-                bad = m & ~np.isin(slab, list(src_ok))
-                viol[bad & viol.isna().to_numpy()] = "subj-label"
-            if dst_ok is not None:
-                if olab is None:
-                    olab = _labels_for(df["obj"], types)
-                bad = m & ~np.isin(olab, list(dst_ok))
-                viol[bad & viol.isna().to_numpy()] = "obj-label"
-        df = df.assign(violation=viol)
+            for col, ok, tag in zip(("subj", "obj"), sides, ("subj-label", "obj-label")):
+                if ok is None:
+                    continue
+                if col not in labels:
+                    labels[col] = _labels_for(b[col], types)
+                bad = pc.and_(m, pc.invert(pc.is_in(
+                    labels[col], value_set=pa.array(sorted(ok), pa.string()))))
+                viol = pc.if_else(pc.and_(bad, pc.is_null(viol)), tag, viol)
         if mode == "drop":
-            return df[df["violation"].isna()].drop(columns=["violation"])
-        if mode == "violations":
-            return df[df["violation"].notna()]
-        return df
+            return b.filter(pc.is_null(viol))
+        b = b.append_column("violation", viol)
+        return b.filter(pc.is_valid(viol)) if mode == "violations" else b
 
-    return edges.map_batches(check, batch_format="pandas")
+    return _mapped(edges, check)
 
 
 def induce_schema(edges: Dataset, alias_ref) -> Dataset:
@@ -109,58 +117,41 @@ def induce_schema(edges: Dataset, alias_ref) -> Dataset:
     edge count, and the integer-exact dominance ratio in micro-units.
 
     Scale shape: one streaming pass folds batch-local ``(pred, slabel,
-    olabel)`` counts (pandas value_counts per batch), a grouped sum
+    olabel)`` counts (an Arrow ``group_by`` per batch), a grouped sum
     merges the partials, and — because the merged table is SCHEMA-scale
     (≤ |preds| × |labels|², dictionary-bounded, not corpus-bounded) —
     the argmax/total finish runs vectorized in one block. The edge table
     itself never leaves the streaming pass.
     """
-    import pyarrow as pa
-
     from code_graph_rag_ray.stages.relational import partial_groupby_sum
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        types = get_broadcast_transformed(alias_ref, "etype_map", entity_type_map)
-        out = pd.DataFrame(
-            {"pred": df["pred"],
-             "subj_label": _labels_for(df["subj"], types),
-             "obj_label": _labels_for(df["obj"], types)}
-        )
-        g = (out.groupby(["pred", "subj_label", "obj_label"], sort=False)
-                .size().rename("n").reset_index())
-        return g
+    keys = ["pred", "subj_label", "obj_label"]
 
-    counts = partial_groupby_sum(
-        edges.map_batches(partial, batch_format="pandas"),
-        ["pred", "subj_label", "obj_label"], {"n": "support"},
-    )
+    def partial(b: pa.Table) -> pa.Table:
+        types = get_broadcast_transformed(alias_ref, "etype_arrays", _type_arrays)
+        t = pa.table({"pred": b["pred"], "subj_label": _labels_for(b["subj"], types),
+                      "obj_label": _labels_for(b["obj"], types)})
+        g = pa.TableGroupBy(t, keys, use_threads=False).aggregate([([], "count_all")])
+        return pa.table({**{k: g[k] for k in keys}, "n": g["count_all"]})
+
+    counts = partial_groupby_sum(_mapped(edges, partial), keys, {"n": "support"})
 
     def finish(b: pa.Table) -> pa.Table:
-        empty = pa.schema(
-            [("pred", pa.string()), ("subj_label", pa.string()),
-             ("obj_label", pa.string()), ("support", pa.int64()),
-             ("total", pa.int64()), ("support_micro", pa.int64())]
-        ).empty_table()
         if b.num_rows == 0:
-            return empty
-        df = b.to_pandas()
-        df["total"] = df.groupby("pred")["support"].transform("sum")
-        df = df.sort_values(
-            ["pred", "support", "subj_label", "obj_label"],
-            ascending=[True, False, True, True], kind="mergesort",
-        )
-        dom = df.drop_duplicates("pred", keep="first").reset_index(drop=True)
-        support = dom["support"].to_numpy(np.int64)
-        total = dom["total"].to_numpy(np.int64)
+            b = pa.schema([(k, pa.string()) for k in keys]
+                          + [("support", pa.int64())]).empty_table()
+        b = b.take(pc.sort_indices(b, sort_keys=[
+            ("pred", "ascending"), ("support", "descending"),
+            ("subj_label", "ascending"), ("obj_label", "ascending")]))
+        starts, _, _ = _runs(run_starts(b, ["pred"]))
+        support = pc.cast(b["support"], pa.int64()).to_numpy()
+        total = np.add.reduceat(support, starts) if len(starts) else support
+        support = support[starts]
         micro = (support.astype(object) * 10**6) // total  # exact int
-        return pa.table(
-            {"pred": pa.array(dom["pred"], pa.string()),
-             "subj_label": pa.array(dom["subj_label"], pa.string()),
-             "obj_label": pa.array(dom["obj_label"], pa.string()),
-             "support": pa.array(support),
-             "total": pa.array(total),
-             "support_micro": pa.array(micro.astype(np.int64))}
-        )
+        return pa.table({**{k: b[k].take(starts) for k in keys},
+                         "support": pa.array(support, pa.int64()),
+                         "total": pa.array(total, pa.int64()),
+                         "support_micro": pa.array(micro.astype(np.int64))})
 
     return counts.repartition(1).map_batches(
         finish, batch_format="pyarrow", batch_size=None

@@ -1,25 +1,34 @@
 """Similarity search over an embedding column (list<float>).
 
-Two paths, per the scale guidance:
+Three paths, per the scale guidance, sharing one merge:
 
 - :func:`knn_brute_force` — baseline: the query matrix is broadcast via
   ``ray.put`` once; each batch does one numpy matmul against it and emits
-  its LOCAL top-k per query (a partial aggregate), then one small
-  groupby-per-query merge picks the global top-k. No full shuffle of the
+  its LOCAL top-k per query (a partial aggregate). No full shuffle of the
   corpus — only (n_queries × k × n_blocks) candidate rows move.
 - :func:`knn_lsh` — scale path: random-hyperplane buckets (IVF-style
   coarse quantization); each query probes only its bucket (and optional
   neighboring buckets by Hamming distance ≤ 1), trading recall for a
   bucket-local scan.
+- :func:`knn_ivf` — the same trade with a trained coarse quantizer.
+
+Every path ends in :func:`_merge_top_k`: ``relational.grouped_top_k`` per
+query under (−cosine, id) and a 1-based rank, finished in Arrow.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data import Dataset
+
+from code_graph_rag_ray.stages.relational import (
+    _mapped,
+    _runs,
+    grouped_top_k,
+    run_starts,
+)
 
 
 def _to_matrix(col) -> np.ndarray:
@@ -48,6 +57,31 @@ def _normalize(m: np.ndarray) -> np.ndarray:
     n = np.linalg.norm(m, axis=1, keepdims=True)
     n[n == 0] = 1.0
     return m / n
+
+
+def _candidates(qids: list, batch: pa.Table, id_col: str, out_q, out_v,
+                out_s) -> pa.Table:
+    """A batch's (query_id, id, cosine) candidate rows, typed even when
+    the batch keeps none (NOTES fact 26): the id type mirrors the input
+    column, the query_id type the broadcast query ids."""
+    qid_t = pa.array(list(qids)).type if len(qids) else pa.string()
+    return pa.table({"query_id": pa.array(out_q, qid_t),
+                     id_col: pa.array(out_v, batch[id_col].type),
+                     "cosine": pa.array(out_s, pa.float64())})
+
+
+def _merge_top_k(partials: Dataset, k: int, id_col: str) -> Dataset:
+    """(query_id, id, cosine, rank): the global top-k of every query's
+    candidates, ties broken by id, rank 1-based. ``grouped_top_k`` leaves
+    each bucket's rows sorted by (query, −cosine, id) and whole in one
+    block, so the rank is each row's position in its query's run."""
+
+    def rank(b: pa.Table) -> pa.Table:
+        _, _, pos = _runs(run_starts(b, ["query_id"]))
+        return b.append_column("rank", pa.array(pos + 1, pa.int64()))
+
+    return _mapped(grouped_top_k(partials, "query_id", "cosine", k,
+                                 tiebreak=id_col), rank, batch_size=None)
 
 
 def knn_brute_force(
@@ -81,6 +115,8 @@ def knn_brute_force(
 
     def local_topk(batch: pa.Table) -> pa.Table:
         q, qids, qx = get_broadcast(q_ref)
+        if batch.num_rows == 0:
+            return _candidates(qids, batch, id_col, [], [], [])
         vecs = _normalize(_to_matrix(batch[vec_col]).astype(np.float64))
         ids = batch[id_col].to_pylist()
         labels = (batch[label_col].to_pylist()
@@ -107,20 +143,9 @@ def knn_brute_force(
             out_q.extend([qids[qi]] * len(order))
             out_v.extend(cand_ids[order].tolist())
             out_s.extend(cand[order].astype(float).tolist())
-        return pa.table(
-            {"query_id": pa.array(out_q), id_col: pa.array(out_v),
-             "cosine": pa.array(out_s, pa.float64())}
-        )
+        return _candidates(qids, batch, id_col, out_q, out_v, out_s)
 
-    partials = ds.map_batches(local_topk, batch_format="pyarrow", batch_size=4096)
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["cosine", id_col], ascending=[False, True], kind="mergesort").head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
-
-    return partials.groupby("query_id").map_groups(merge, batch_format="pandas")
+    return _merge_top_k(_mapped(ds, local_topk, batch_size=4096), k, id_col)
 
 
 def knn_lsh(
@@ -170,8 +195,8 @@ def knn_lsh(
     ref = ray.put((qn, list(query_ids), bucket_queries))
 
     def bucketize(b: pa.Table) -> pa.Table:
-        vecs = _to_matrix(b[vec_col])
-        return b.append_column("bucket", pa.array(bucket_of(vecs).astype(np.int64), pa.int64()))
+        bk = bucket_of(_to_matrix(b[vec_col])) if b.num_rows else np.empty(0)
+        return b.append_column("bucket", pa.array(bk.astype(np.int64), pa.int64()))
 
     def bucket_scan(batch: pa.Table) -> pa.Table:
         # Arrow/numpy end to end: sort by bucket, one matrix build for the
@@ -201,28 +226,10 @@ def knn_lsh(
                     out_q.extend([qids[qi]] * len(order))
                     out_v.extend(ids[order].tolist())
                     out_s.extend(row[order].astype(float).tolist())
-        # typed arrays even when empty (NOTES fact 26): id dtype mirrors
-        # the input column, query_id dtype mirrors the broadcast qids
-        qid_t = pa.array(list(qids)).type if len(qids) else pa.string()
-        return pa.table(
-            {"query_id": pa.array(out_q, qid_t),
-             id_col: pa.array(out_v, batch[id_col].type),
-             "cosine": pa.array(out_s, pa.float64())}
-        )
+        return _candidates(qids, batch, id_col, out_q, out_v, out_s)
 
-    partials = (
-        ds.map_batches(bucketize, batch_format="pyarrow")
-        .map_batches(bucket_scan, batch_format="pyarrow", batch_size=4096)
-    )
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop_duplicates(subset=[id_col])
-        g = g.sort_values(["cosine", id_col], ascending=[False, True], kind="mergesort").head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
-
-    return partials.groupby("query_id").map_groups(merge, batch_format="pandas")
+    partials = _mapped(_mapped(ds, bucketize), bucket_scan, batch_size=4096)
+    return _merge_top_k(partials, k, id_col)
 
 
 def knn_ivf(
@@ -276,6 +283,8 @@ def knn_ivf(
 
     def cell_scan(batch: pa.Table) -> pa.Table:
         q, qids, cq, cids, cm = get_broadcast(ref)
+        if batch.num_rows == 0:
+            return _candidates(qids, batch, id_col, [], [], [])
         vq = _quantize(batch[vec_col], scale)
         dd = (
             (vq[:, None, :].astype(np.int64) - cm[None, :, :]) ** 2
@@ -298,18 +307,6 @@ def knn_ivf(
                 out_q.extend([qids[qi]] * len(order))
                 out_v.extend(sub_ids[order].tolist())
                 out_s.extend(row[order].astype(float).tolist())
-        return pa.table(
-            {"query_id": pa.array(out_q), id_col: pa.array(out_v),
-             "cosine": pa.array(out_s, pa.float64())}
-        )
+        return _candidates(qids, batch, id_col, out_q, out_v, out_s)
 
-    partials = ds.map_batches(cell_scan, batch_format="pyarrow", batch_size=4096)
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["cosine", id_col], ascending=[False, True],
-                          kind="mergesort").head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
-
-    return partials.groupby("query_id").map_groups(merge, batch_format="pandas")
+    return _merge_top_k(_mapped(ds, cell_scan, batch_size=4096), k, id_col)

@@ -1,26 +1,23 @@
-"""Skew-aware salted aggregation for non-algebraic per-key work.
+"""Skew-safe per-key work beyond algebraic aggregates.
 
 Algebraic aggregates (sum/count/min) are already skew-proof here via
-batch-local partials (``relational.partial_groupby_sum``). This module
-covers the remaining case the north star names — a head key (the
-wikipedia.org entity) whose GROUP processing itself is heavy: salt the hot
-key into ``salt_factor`` sub-groups, run the per-group function on each
-sub-group in parallel, then merge the sub-results per key. Requires the
-per-key computation to be decomposable (partial + merge) — the classic
-two-phase contract.
+batch-local partials (``relational.partial_groupby_sum``). The remaining
+cases are a head key (the wikipedia.org entity) whose GROUP processing
+itself is heavy:
 
-Concrete operator: :func:`salted_topk_per_key` (top-N provenance urls per
-entity by mention count) — top-k is mergeable, so the salted two-phase is
-exact.
+- :func:`salted_topk_per_key` (top-N provenance urls per entity by
+  mention count): every block pre-counts its (key, item) pairs, and one
+  bucketed pass keyed on the key completes the counts and picks the top
+  k (``relational._counted_groups``) — a head key exchanges O(blocks ×
+  its distinct items), never its row count.
+- :func:`salted_join`: salt a known whale key on the probe side and
+  replicate its build rows, so no single join bucket holds the whale.
 """
 
 from __future__ import annotations
 
-import pandas as pd
 import pyarrow as pa
 from ray.data import Dataset
-
-from code_graph_rag_ray.functions.hashing import crc32_array
 
 
 def global_topk(
@@ -64,45 +61,29 @@ def salted_topk_per_key(
     key: str,
     item: str,
     k: int = 10,
-    salt_factor: int = 16,
 ) -> Dataset:
-    """(key, item, n, rank): top-k items per key by occurrence count.
+    """(key, item, n, rank): top-k items per key by occurrence count, ties
+    broken by item ascending, rank 1-based. A null item counts as an item
+    of its own (SQL ``GROUP BY``) and sorts after every other item on a
+    tie.
 
-    Phase 1 groups by ``(key, salt)`` where ``salt = crc32(item) % F`` —
-    a head key's rows spread over F parallel sub-groups (salting on the
-    ITEM hash keeps equal items in one sub-group, so sub-counts are exact).
-    Phase 2 merges the F sub-top-k lists per key (top-k of exact counts is
-    mergeable when each item's full count lives in exactly one sub-group).
-    """
+    Blocks pre-count their (key, item) pairs; one ``bucketed_groups``
+    pass keyed on ``key`` completes each item's count and keeps the top k
+    of every key in one Arrow pass (``relational._counted_groups``)."""
+    from code_graph_rag_ray.stages.relational import (
+        _counted_groups,
+        _head_k,
+        _runs,
+        run_starts,
+    )
 
-    def add_salt(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "salt", pa.array(crc32_array(b[item]) % salt_factor, pa.int32())
-        )
+    def top(t: pa.Table) -> pa.Table:
+        t = _head_k(t, [(key, "ascending"), ("n", "descending"),
+                        (item, "ascending")], k)
+        _, _, pos = _runs(run_starts(t, [key]))
+        return t.append_column("rank", pa.array(pos + 1, pa.int64()))
 
-    salted = ds.map_batches(add_salt, batch_format="pyarrow")
-
-    def sub_topk(g: pd.DataFrame) -> pd.DataFrame:
-        counts = (
-            g.groupby(item).size().reset_index(name="n")
-            .sort_values(["n", item], ascending=[False, True], kind="mergesort")
-            .head(k)
-        )
-        counts.insert(0, key, g[key].iloc[0])
-        return counts
-
-    partial = salted.groupby([key, "salt"]).map_groups(sub_topk, batch_format="pandas")
-
-    def merge_topk(g: pd.DataFrame) -> pd.DataFrame:
-        top = (
-            g.sort_values(["n", item], ascending=[False, True], kind="mergesort")
-            .head(k)
-            .reset_index(drop=True)
-        )
-        top["rank"] = range(1, len(top) + 1)
-        return top[[key, item, "n", "rank"]]
-
-    return partial.groupby(key).map_groups(merge_topk, batch_format="pandas")
+    return _counted_groups(ds, key, item, top)
 
 
 def salted_join(

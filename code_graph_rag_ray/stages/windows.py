@@ -154,44 +154,6 @@ def hopping_window_agg(
     )
 
 
-def session_windows(
-    events: Dataset,
-    *,
-    ts_col: str = "ts",
-    key_col: str = "user_id",
-    gap_s: int = 1800,
-) -> Dataset:
-    """(key, session_start, session_end, n_events) with gap-based sessions.
-
-    Partition by key, sort by ts within the group, split where the gap
-    exceeds ``gap_s`` — the documented ordering assumption: all of one key's
-    events co-locate in its group (ray_guide streaming-shaped pattern).
-    """
-
-    def sessions(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(ts_col, kind="mergesort")
-        # gap test at full µs precision; output floored to epoch seconds
-        ts_us = g[ts_col].to_numpy().astype("datetime64[us]").astype(np.int64)
-        ts = ts_us // 1_000_000
-        new_session = np.ones(len(g), dtype=bool)
-        new_session[1:] = (ts_us[1:] - ts_us[:-1]) > gap_s * 1_000_000
-        sid = np.cumsum(new_session)
-        g = g.assign(__sid=sid, __ts_s=ts)
-        out = (
-            g.groupby("__sid")
-            .agg(
-                session_start=("__ts_s", "min"),
-                session_end=("__ts_s", "max"),
-                n_events=("__ts_s", "size"),
-            )
-            .reset_index(drop=True)
-        )
-        out.insert(0, key_col, g[key_col].iloc[0])
-        return out
-
-    return events.groupby(key_col).map_groups(sessions, batch_format="pandas")
-
-
 def session_windows_chunked(
     events: Dataset,
     *,
@@ -200,11 +162,15 @@ def session_windows_chunked(
     gap_s: int = 1800,
     chunk_s: int = 86400,
 ) -> Dataset:
-    """Skew-safe sessionization, bit-identical to :func:`session_windows`.
+    """(key, session_start, session_end, n_events) with gap-based sessions:
+    a key's events sorted by ts split where the gap to the previous event
+    exceeds ``gap_s`` (compared at µs precision; bounds floored to epoch
+    seconds).
 
-    A whale key (one user carrying a large share of the events) makes the
-    per-key ``map_groups`` a single giant task. Standard two-phase split,
-    each phase one :func:`bucketed_groups` pass finished in Arrow:
+    Skew-safe: a whale key (one user carrying a large share of the
+    events) would make a per-key finish a single giant task. Standard
+    two-phase split, each phase one :func:`bucketed_groups` pass finished
+    in Arrow:
 
     1. sessionize within ``(key, time-chunk)`` groups — chunk = epoch-µs
        floor-divided by ``chunk_s`` (must be ≥ ``gap_s``), so the whale's
@@ -216,9 +182,9 @@ def session_windows_chunked(
        chunk-boundary-adjacent sessions can merge, chained merges handle a
        session spanning many chunks).
 
-    Output is floored to epoch seconds at the very end, like the plain
-    version (µs precision is kept through BOTH phases — flooring before the
-    merge would change gap decisions).
+    Output is floored to epoch seconds at the very end (µs precision is
+    kept through BOTH phases — flooring before the merge would change gap
+    decisions).
     """
     if chunk_s < gap_s:
         raise ValueError("chunk_s must be >= gap_s")

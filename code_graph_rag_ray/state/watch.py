@@ -10,13 +10,15 @@ a chatty path can't starve forever.
 Batch translation: this is incremental-recompute scheduling, not stream
 processing (SURVEY.md §2.8) — given an event log, compute WHEN each path
 would have been processed and how many events each processing coalesced.
-Per-path ``map_groups`` over ts-sorted events, the same partitioning shape
-as session windows; per-path event counts bound the sequential scan.
+One ``relational.bucketed_groups`` pass: each bucket sorts its events by
+(path, ts) once in Arrow and runs the sequential :func:`_debounce_one`
+walk over every path's run; per-path event counts bound that walk.
 """
 
 from __future__ import annotations
 
-import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 from ray.data import Dataset
 
 
@@ -60,22 +62,32 @@ def debounce_events(
 ) -> Dataset:
     """events(path, ts) → (path, process_ts, n_events, forced).
 
-    Timestamps are handled as int64 epoch seconds (timestamp columns change
-    resolution across shuffle/pandas boundaries — NOTES.md invariant).
+    Timestamps are handled as int64 epoch seconds (a timestamp column is
+    floored to whole seconds, whatever its unit).
     """
+    from code_graph_rag_ray.stages.relational import _runs, bucketed_groups, run_starts
 
-    def per_path(g: pd.DataFrame) -> pd.DataFrame:
-        ts = g[ts_col]
-        if str(ts.dtype).startswith("datetime"):
-            # unit-safe epoch seconds: pandas may deliver datetime64[us]
-            # (not [ns]) from Arrow, so a fixed // 1e9 would be off by 1000
-            ts = ts.to_numpy().astype("datetime64[s]").astype("int64")
-        fired = _debounce_one(sorted(int(t) for t in ts), quiet_s, max_wait_s)
-        return pd.DataFrame(
-            {path_col: [g[path_col].iloc[0]] * len(fired),
-             "process_ts": [f[0] for f in fired],
-             "n_events": [f[1] for f in fired],
-             "forced": [f[2] for f in fired]}
-        )
+    def per_path(t: pa.Table) -> pa.Table:
+        ts = pc.cast(t[ts_col], pa.int64()).to_numpy()
+        if pa.types.is_timestamp(t[ts_col].type):
+            # floor, not the cast's truncation toward zero (pre-1970 ticks)
+            ts = ts // {"s": 1, "ms": 10**3, "us": 10**6,
+                        "ns": 10**9}[t[ts_col].type.unit]
+        t = pa.table({path_col: t[path_col], "ts": pa.array(ts, pa.int64())})
+        t = t.take(pc.sort_indices(t, sort_keys=[(path_col, "ascending"),
+                                                 ("ts", "ascending")]))
+        starts, lens, _ = _runs(run_starts(t, [path_col]))
+        vals = t["ts"].to_numpy()
+        rows, fired = [], []
+        for s, n in zip(starts.tolist(), lens.tolist()):
+            out = _debounce_one(vals[s:s + n].tolist(), quiet_s, max_wait_s)
+            rows += [s] * len(out)
+            fired += out
+        return pa.table({
+            path_col: t[path_col].take(pa.array(rows, pa.int64())),
+            "process_ts": pa.array([f[0] for f in fired], pa.int64()),
+            "n_events": pa.array([f[1] for f in fired], pa.int64()),
+            "forced": pa.array([f[2] for f in fired], pa.bool_()),
+        })
 
-    return events.groupby(path_col).map_groups(per_path, batch_format="pandas")
+    return bucketed_groups(events, path_col, per_path)

@@ -3,7 +3,7 @@
 ``relational.bucketed_cogroup``. The modules and functions ported onto them
 must not grow a hand-made bucket shuffle, a pandas group finish or a
 bucket knob again, the graph build takes no partition count it ignores,
-and the package's ``batch_format="pandas"`` sites only ever go down."""
+and the package has no ``batch_format="pandas"`` site."""
 
 from __future__ import annotations
 
@@ -18,22 +18,28 @@ from code_graph_rag_ray.stages import (
     asof,
     canonicalize,
     components,
+    cooccur,
     dedup,
+    diff,
     fusion,
     graph_metrics,
     linking,
+    links,
     materialize,
     packing,
     paragraphs,
     paths,
+    quantiles,
     rangejoin,
     ranking,
     relational,
+    schema,
+    similarity,
     skew,
     tfidf,
     windows,
 )
-from code_graph_rag_ray.state import lineage
+from code_graph_rag_ray.state import lineage, watch
 
 HAND_BUCKET_GROUPBY = re.compile(
     r"""groupby\(\s*\[?[^)\]]*["'](bucket|__bk|__kb|__b\d?|__db|pbucket|__bucket)["']""")
@@ -48,9 +54,11 @@ PANDAS_GROUP_FINISH = re.compile(
 OWN_GROUPBY = re.compile(r"\.groupby\([^)]*\)\s*\.map_groups\(", re.S)
 
 SOURCES = {
-    **{m.__name__: m for m in (asof, canonicalize, components, fusion, linking,
-                               materialize, packing, paragraphs, paths,
-                               rangejoin, ranking, tfidf, lineage)},
+    **{m.__name__: m for m in (asof, canonicalize, components, cooccur, diff,
+                               fusion, linking, links, materialize, packing,
+                               paragraphs, paths, quantiles, rangejoin,
+                               ranking, schema, similarity, skew, tfidf,
+                               windows, lineage, watch)},
     **{f"{f.__module__}.{f.__name__}": f for f in (
         dedup._lsh_pairs, dedup._attach_pair_payload,
         dedup.minhash_near_dup_pairs, dedup.simhash_near_dup_pairs,
@@ -58,17 +66,15 @@ SOURCES = {
         dedup.ngram_jaccard_pairs, dedup.semantic_dedup,
         dedup.editdist1_pairs, dedup.dup_ngram_spans, dedup.dup_span_apply,
         graph_metrics.bfs_hops, graph_metrics.label_propagation,
-        graph_metrics.sssp_bounded, relational.bucketed_join,
-        relational.grouped_top_k, relational.grouped_collect,
-        relational.grouped_trimmed_sum,
-        windows.session_windows_chunked, windows.sliding_time_sum,
-        windows.running_total_per_key, windows.lag_per_key,
-        windows.transition_counts, windows.strict_funnel)},
+        graph_metrics.sssp_bounded, graph_metrics.triangles,
+        relational.bucketed_join, relational.grouped_top_k,
+        relational.grouped_collect, relational.grouped_trimmed_sum,
+        relational._group_pairs, relational._counted_groups)},
 }
 
-#: ``batch_format="pandas"`` sites under ``code_graph_rag_ray/``. Each port
-#: to Arrow lowers it; it never rises.
-PANDAS_SITES = 19
+#: ``batch_format="pandas"`` sites under ``code_graph_rag_ray/``: every
+#: batch and group finish runs in Arrow.
+PANDAS_SITES = 0
 
 BUCKETED_OPS = (
     relational.bucketed_cogroup, relational.bucketed_join,

@@ -280,3 +280,36 @@ def test_incremental_links_equals_clean(pages_fixture):
     # the new link is present, page 1 contributes nothing
     assert (first_two[0]["url"], "https://new.example.org/x") in key(inc.take_all())
     assert all(u != first_two[1]["url"] for u, _ in key(inc.take_all()))
+
+
+def test_anchor_summary_null_anchor_is_a_group():
+    """A null anchor counts as one anchor of its own and sorts after the
+    others on a count tie, as in SQL ``GROUP BY`` + ``array_agg(ORDER BY
+    n DESC, anchor ASC)``."""
+    import duckdb
+
+    from code_graph_rag_ray.stages.links import anchor_summary
+
+    links = pa.table({
+        "url": [f"s{i}" for i in range(9)],
+        "target": ["t1"] * 4 + ["t2"] * 3 + ["t3", "gone"],
+        "anchor": ["x", None, None, "x", None, None, "y", None, "z"],
+    })
+    urls = pa.table({"url": ["t1", "t2", "t3"]})
+    got = anchor_summary(rd.from_arrow(links).repartition(3),
+                         rd.from_arrow(urls)).to_pandas()
+    got = sorted(map(tuple, got[["dst_url", "n_links", "n_anchors",
+                                 "top_anchor"]].itertuples(index=False)))
+    con = duckdb.connect()
+    con.register("l", links)
+    con.register("u", urls)
+    exp = con.execute(
+        """WITH c AS (
+             SELECT target AS dst_url, anchor, count(*) AS n
+             FROM l WHERE target IN (SELECT url FROM u) GROUP BY 1, 2)
+           SELECT dst_url, CAST(sum(n) AS BIGINT) AS n_links,
+                  count(*) AS n_anchors,
+                  (array_agg(anchor ORDER BY n DESC, anchor ASC))[1] AS top_anchor
+           FROM c GROUP BY dst_url ORDER BY dst_url""").fetchall()
+    assert got == exp
+    assert exp[0] == ("t1", 4, 2, "x") and exp[1] == ("t2", 3, 2, None)

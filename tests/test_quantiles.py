@@ -122,3 +122,68 @@ def test_mad_outliers_planted():
     assert {0, 1} <= set(got["id"])  # planted extremes flagged
     exp = exp.astype(got.dtypes.to_dict())
     assert got.equals(exp), f"\n{got}\n{exp}"
+
+
+#: key a: [1, 2, 3, null, null]; b: [10, null, 30]; c: only nulls; d:
+#: int64 values above 2^53, all in 2 blocks
+_NULLS = pa.table({
+    "g": ["a"] * 5 + ["b"] * 3 + ["c"] + ["d"] * 3,
+    "v": pa.array([1, 2, 3, None, None, 10, None, 30, None,
+                   2**53 + 1, 2**53 + 3, 5], pa.int64()),
+})
+
+
+def test_grouped_quantiles_ignore_nulls_and_keep_int64():
+    ds = rd.from_arrow([_NULLS.slice(0, 4), _NULLS.slice(4)])
+    got = (grouped_quantiles(ds, key="g", value_col="v", qs={"q50": 0.5, "q90": 0.9})
+           .to_pandas().sort_values("g").reset_index(drop=True))
+    con = duckdb.connect()
+    con.register("t", _NULLS)
+    exp = con.execute(
+        """SELECT g, count(*)::BIGINT AS n, quantile_disc(v, 0.5) AS q50,
+                  quantile_disc(v, 0.9) AS q90
+           FROM t GROUP BY g ORDER BY g""").df()
+    assert got.dtypes.to_dict() == exp.dtypes.to_dict()
+    assert got.equals(exp), f"\n{got}\n{exp}"
+    assert got["q50"].tolist()[:2] == [2, 10]
+    assert got["q50"].iloc[3] == 2**53 + 1  # not rounded through a double
+
+
+def test_grouped_quantiles_cont_ignore_nulls():
+    from code_graph_rag_ray.stages.quantiles import grouped_quantiles_cont
+
+    ds = rd.from_arrow([_NULLS.slice(0, 4), _NULLS.slice(4)])
+    got = (grouped_quantiles_cont(ds, key="g", value_col="v",
+                                  qs={"p50": 0.5, "p90": 0.9})
+           .to_pandas().sort_values("g").reset_index(drop=True))
+    con = duckdb.connect()
+    con.register("t", _NULLS)
+    # the catalog oracle's window-SQL replay of the interpolation, over the
+    # non-null values; n stays count(*)
+    exp = con.execute(
+        """WITH s AS (
+             SELECT g, CAST(v AS DOUBLE) AS v,
+                    row_number() OVER (PARTITION BY g ORDER BY v) - 1 AS i,
+                    count(*) OVER (PARTITION BY g) AS m
+             FROM t WHERE v IS NOT NULL),
+           k AS (SELECT g, count(*)::BIGINT AS n FROM t GROUP BY g),
+           x AS (SELECT g, max(m) AS m, 0.5::DOUBLE * (max(m) - 1) AS p50x,
+                        0.9::DOUBLE * (max(m) - 1) AS p90x
+                 FROM s GROUP BY g)
+           SELECT k.g, k.n,
+                  lo50.v + (x.p50x - floor(x.p50x)) * (hi50.v - lo50.v) AS p50,
+                  lo90.v + (x.p90x - floor(x.p90x)) * (hi90.v - lo90.v) AS p90
+           FROM k LEFT JOIN x USING (g)
+           LEFT JOIN s lo50 ON lo50.g = k.g AND lo50.i = CAST(floor(x.p50x) AS BIGINT)
+           LEFT JOIN s hi50 ON hi50.g = k.g
+             AND hi50.i = least(CAST(floor(x.p50x) AS BIGINT) + 1, x.m - 1)
+           LEFT JOIN s lo90 ON lo90.g = k.g AND lo90.i = CAST(floor(x.p90x) AS BIGINT)
+           LEFT JOIN s hi90 ON hi90.g = k.g
+             AND hi90.i = least(CAST(floor(x.p90x) AS BIGINT) + 1, x.m - 1)
+           ORDER BY k.g""").df()
+    assert got.dtypes.to_dict() == exp.dtypes.to_dict()
+    assert got.equals(exp), f"\n{got}\n{exp}"
+    # DuckDB's own quantile_cont agrees to the ulp (its op order differs)
+    ref = con.execute("SELECT g, quantile_cont(v, 0.5) AS p50 FROM t "
+                      "GROUP BY g ORDER BY g").df()
+    assert np.allclose(got["p50"], ref["p50"], rtol=1e-15, equal_nan=True)

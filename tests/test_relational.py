@@ -720,3 +720,36 @@ def test_bucketed_join_against_empty_right_keeps_declared_schema():
         t = pa.concat_tables(blocks)
         assert t.num_rows == n, how
         assert t["rv"].null_count == n and t["rs"].null_count == n, how
+
+
+def test_group_pairs_match_duckdb_self_join():
+    """Distinct item pairs a < b per group, null groups and items pair with
+    nothing, and the cap keeps each group's first items in sort order."""
+    import duckdb
+    import numpy as np
+
+    from code_graph_rag_ray.stages.relational import _group_pairs
+
+    rng = np.random.default_rng(5)
+    n = 3000
+    t = pa.table({
+        "g": pa.array([None if i % 97 == 0 else int(x)
+                       for i, x in enumerate(rng.integers(0, 120, n))], pa.int64()),
+        "e": pa.array([None if i % 89 == 0 else f"e{x:02d}"
+                       for i, x in enumerate(rng.integers(0, 40, n))], pa.string()),
+    })
+    con = duckdb.connect()
+    con.register("t", t)
+    for cap in (None, 5):
+        got = sorted(tuple(r.values()) for r in _group_pairs(
+            rd.from_arrow(t).repartition(6), "g", "e", max_items=cap).take_all())
+        keep = "" if cap is None else f"WHERE r <= {cap}"
+        exp = con.execute(f"""
+            WITH d AS (SELECT DISTINCT g, e FROM t
+                       WHERE g IS NOT NULL AND e IS NOT NULL),
+                 c AS (SELECT g, e, row_number() OVER (PARTITION BY g ORDER BY e) AS r
+                       FROM d),
+                 k AS (SELECT g, e FROM c {keep})
+            SELECT x.g, x.e, y.e FROM k x JOIN k y ON x.g = y.g AND x.e < y.e
+            ORDER BY 1, 2, 3""").fetchall()
+        assert got == exp and len(exp) > 1000

@@ -20,7 +20,7 @@ def test_salted_topk_exact_under_whale_key():
         rows.append({"entity": f"t{i % 5}", "url": f"u{i:03d}"})
     ds = rd.from_arrow(pa.Table.from_pylist(rows))
 
-    out = salted_topk_per_key(ds, key="entity", item="url", k=5, salt_factor=8).to_pandas()
+    out = salted_topk_per_key(ds, key="entity", item="url", k=5).to_pandas()
 
     # oracle: plain pandas top-5 per key with the same tie-break
     import pandas as pd
@@ -87,3 +87,22 @@ def test_salted_join_whale_key_matches_plain_join():
     a = got[key_cols].sort_values(key_cols).reset_index(drop=True)
     b = want[key_cols].sort_values(key_cols).reset_index(drop=True)
     assert a.equals(b)
+
+
+def test_salted_topk_null_item_is_an_item():
+    import duckdb
+
+    t = pa.table({"entity": ["e", "e", "e", "e", "e", "f"],
+                  "url": ["u1", None, "u1", None, "u2", None]})
+    got = salted_topk_per_key(rd.from_arrow(t).repartition(2), key="entity",
+                              item="url", k=5).to_pandas()
+    con = duckdb.connect()
+    con.register("t", t)
+    exp = con.execute(
+        """SELECT entity, url, count(*) AS n,
+                  row_number() OVER (PARTITION BY entity
+                                     ORDER BY count(*) DESC, url ASC) AS rank
+           FROM t GROUP BY entity, url ORDER BY entity, rank""").fetchall()
+    got = sorted(got.itertuples(index=False), key=lambda r: (r.entity, r.rank))
+    assert [tuple(r) for r in got] == exp
+    assert ("e", None, 2, 2) in exp

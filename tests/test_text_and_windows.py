@@ -15,7 +15,6 @@ from code_graph_rag_ray.stages.text_analysis import (
     token_stats_batch,
 )
 from code_graph_rag_ray.stages.windows import (
-    session_windows,
     session_windows_chunked,
     tumbling_window_agg,
 )
@@ -79,6 +78,31 @@ def test_tumbling_window_epoch_alignment():
     assert out.window_start.tolist() == [1704067200, 1704070800]
 
 
+def _gap_sessions(df: pd.DataFrame, gap_s: int) -> pd.DataFrame:
+    """DuckDB reference: a user's events sorted by ts split where the gap
+    to the previous event exceeds ``gap_s`` at µs precision; bounds are
+    floored to epoch seconds."""
+    import duckdb
+
+    con = duckdb.connect()
+    con.register("ev", df)
+    return con.execute(f"""
+        WITH t AS (
+          SELECT user_id, epoch_us(ts) AS us,
+                 coalesce(epoch_us(ts) - lag(epoch_us(ts)) OVER (
+                   PARTITION BY user_id ORDER BY ts) > {gap_s} * 1000000,
+                   true) AS new
+          FROM ev),
+        s AS (
+          SELECT user_id, us, sum(new::INT) OVER (
+                   PARTITION BY user_id ORDER BY us
+                   ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW) AS sid
+          FROM t)
+        SELECT user_id, min(us) // 1000000 AS session_start,
+               max(us) // 1000000 AS session_end, count(*) AS n_events
+        FROM s GROUP BY user_id, sid""").df()
+
+
 def test_session_windows_gap_split():
     t0 = pd.Timestamp("2024-01-01 00:00:00")
     rows = [
@@ -87,11 +111,12 @@ def test_session_windows_gap_split():
         {"user_id": 1, "ts": t0 + pd.Timedelta(minutes=70)},  # > 30min gap → new
         {"user_id": 2, "ts": t0},
     ]
-    ds = rd.from_pandas(pd.DataFrame(rows))
-    out = session_windows(ds, gap_s=1800).to_pandas()
+    df = pd.DataFrame(rows)
+    out = session_windows_chunked(rd.from_pandas(df), gap_s=1800).to_pandas()
     u1 = out[out.user_id == 1].sort_values("session_start")
     assert u1.n_events.tolist() == [2, 1]
     assert len(out[out.user_id == 2]) == 1
+    assert _norm_sessions(out) == _norm_sessions(_gap_sessions(df, 1800))
 
 
 def _norm_sessions(df):
@@ -101,7 +126,7 @@ def _norm_sessions(df):
 
 def test_session_windows_chunked_equals_plain_across_boundaries():
     """Two-phase (skew-safe) sessionization is bit-identical to the plain
-    per-key version, including sessions that straddle one or MANY chunk
+    gap-session query, including sessions that straddle one or MANY chunk
     boundaries (chained merges) and events exactly on a boundary."""
     rng = np.random.default_rng(7)
     base = 1_704_067_200  # 2024-01-01, a multiple of 3600
@@ -123,7 +148,7 @@ def test_session_windows_chunked_equals_plain_across_boundaries():
     rows.append({"user_id": 98, "ts": pd.Timestamp(base + 3600 + 1800, unit="s")})
     df = pd.DataFrame(rows)
 
-    plain = session_windows(rd.from_pandas(df), gap_s=1800).to_pandas()
+    plain = _gap_sessions(df, 1800)
     chunked = session_windows_chunked(
         rd.from_pandas(df), gap_s=1800, chunk_s=3600
     ).to_pandas()
@@ -134,7 +159,7 @@ def test_session_windows_chunked_equals_plain_across_boundaries():
 
 def test_session_windows_chunked_whale_user_splits_groups():
     """The whale key's events must spread over many phase-1 groups (the
-    scale argument), while output matches the plain path."""
+    scale argument), while output matches the plain gap-session query."""
     base = 1_704_067_200
     rows = [{"user_id": 0, "ts": pd.Timestamp(base + i * 2000, unit="s")}
             for i in range(500)]  # gaps 2000s > 1800s → 500 sessions
@@ -143,7 +168,7 @@ def test_session_windows_chunked_whale_user_splits_groups():
     chunked = session_windows_chunked(
         rd.from_pandas(df), gap_s=1800, chunk_s=7200
     ).to_pandas()
-    plain = session_windows(rd.from_pandas(df), gap_s=1800).to_pandas()
+    plain = _gap_sessions(df, 1800)
     assert _norm_sessions(chunked) == _norm_sessions(plain)
     assert len(chunked[chunked.user_id == 0]) == 500
 
