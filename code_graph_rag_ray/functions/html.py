@@ -56,7 +56,8 @@ _TAG_STEPS: list[tuple[str, str, str]] = [
     ("<", r"<[^>]*>", " "),
 ]
 
-# Literal entity decodes; &amp; must be last so "&amp;lt;" → "&lt;" not "<".
+# Literal entity decodes, each run only when its literal occurs after the
+# passes before it; &amp; must be last so "&amp;lt;" → "&lt;" not "<".
 _ENTITY_STEPS: list[tuple[str, str]] = [
     ("&lt;", "<"),
     ("&gt;", ">"),
@@ -94,7 +95,8 @@ def extract_text_array(html: pa.Array | pa.ChunkedArray) -> pa.Array | pa.Chunke
     out = _replace_steps(out, _TAG_STEPS)
     if _present(out, "&"):
         for lit, repl in _ENTITY_STEPS:
-            out = pc.replace_substring(out, pattern=lit, replacement=repl)
+            if _present(out, lit):
+                out = pc.replace_substring(out, pattern=lit, replacement=repl)
     out = _replace_steps(out, _WS_STEPS)
     return pc.utf8_trim_whitespace(out)
 

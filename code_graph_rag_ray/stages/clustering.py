@@ -44,7 +44,7 @@ def _quantize(vecs: pa.Array | pa.ChunkedArray, scale: int) -> np.ndarray:
         pa.int64(),
     ).to_numpy(zero_copy_only=False)
     n = len(vecs)
-    return q.reshape(n, -1)
+    return q.reshape(n, len(q) // n if n else 0)
 
 
 def kmeans_train(
@@ -102,7 +102,8 @@ def _kmeans_impl(
     seeds = top_k(embeds, id_col, k, descending=False).take_all()
     cent_ids = np.arange(len(seeds))
     cent = _quantize(
-        pa.array([list(map(float, s[vec_col])) for s in seeds]), scale
+        pa.array([list(map(float, s[vec_col])) for s in seeds],
+                 pa.list_(pa.float64())), scale
     )
 
     def assign_factory(cent: np.ndarray, cent_ids: np.ndarray, emit: str):
@@ -148,7 +149,7 @@ def _kmeans_impl(
         return fn
 
     dim = cent.shape[1]
-    for _ in range(iters):
+    for _ in range(iters if len(seeds) else 0):
         partial = embeds.map_batches(
             assign_factory(cent, cent_ids, "update"), batch_format="pyarrow"
         )

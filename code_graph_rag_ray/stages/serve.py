@@ -14,19 +14,30 @@ subject-partitioned, like any table with one clustering key): they scan
 every partition file, kept explicit in the API so callers see the
 asymmetry.
 
-Reads go straight to ``pq.ParquetFile(f).read(columns=…,
-use_threads=False)`` per file, filtered per file before one
-``concat_tables``. A ``pyarrow.dataset`` scan of the same partition pays
-discovery, fragment and scanner setup on every call (NOTES fact 40: about
-2.7 ms against 1.2 ms per partition read), and a thread pool only adds
-hand-off cost on a partition this size. Serving stays in plain pyarrow
-(no Ray session needed) because one partition of one key range is
-dictionary-scale by construction.
+Partition files are decoded once and probed many times. One process-wide
+cache holds each file's whole decoded table, keyed by its path and
+checked against ``(st_ino, st_size, st_mtime_ns)`` from one ``os.stat``
+per file per lookup; any difference is a miss that replaces the entry.
+This relies on the store's write contract: writers land a partition
+through a tmp name and ``os.replace`` and never rewrite a file in place,
+so a rewritten partition is a new inode and is never served stale. The
+cache holds at most ``_CACHE_BYTES`` of decoded tables and evicts the
+least recently used entries past that, so a file larger than the budget
+is not kept. Every miss also drops the entries whose file is gone, so a
+deleted store does not stay resident until eviction. A miss decodes the
+whole file with ``pq.ParquetFile(f).read(use_threads=False)``, outside
+the cache's lock; ``columns=`` and the filters apply to the cached table
+(NOTES fact 44: 1.35 ms to decode the hot partition against 0.34 ms to
+filter it). Serving stays in plain pyarrow (no Ray session needed)
+because one partition of one key range is dictionary-scale by
+construction.
 """
 
 from __future__ import annotations
 
 import os
+import threading
+from collections import OrderedDict
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -42,15 +53,47 @@ def partition_of(value: str, num_partitions: int) -> int:
     return int(partition_ids(pa.array([value], pa.string()), num_partitions)[0])
 
 
+#: decoded bytes the partition cache may hold (one 60k-edge store
+#: decodes to about 4 MB)
+_CACHE_BYTES = 16 << 20
+
+_cache: OrderedDict[str, tuple[tuple[int, int, int], pa.Table]] = OrderedDict()
+_cache_lock = threading.Lock()
+
+
+def _decoded(f: str) -> pa.Table:
+    """The whole decoded table of partition file ``f``, from the cache
+    when the file's inode, size and mtime still match its entry."""
+    st = os.stat(f)
+    key = (st.st_ino, st.st_size, st.st_mtime_ns)
+    with _cache_lock:
+        hit = _cache.get(f)
+        if hit is not None and hit[0] == key:
+            _cache.move_to_end(f)
+            return hit[1]
+    with pq.ParquetFile(f) as pf:
+        t = pf.read(use_threads=False)
+    with _cache_lock:
+        for g in [g for g in _cache if g == f or not os.path.exists(g)]:
+            del _cache[g]
+        if t.nbytes <= _CACHE_BYTES:
+            _cache[f] = (key, t)
+        total = sum(e[1].nbytes for e in _cache.values())
+        while total > _CACHE_BYTES:
+            total -= _cache.popitem(last=False)[1][1].nbytes
+    return t
+
+
 def _read_files(files: list[str], columns: list[str] | None,
                 match: dict[str, str]) -> pa.Table:
-    """Rows of ``files`` whose columns equal ``match``, each file read
-    whole on this thread and filtered before the one concat."""
+    """Rows of ``files`` whose columns equal ``match``, each file's
+    decoded table projected and filtered before the one concat."""
     need = None if columns is None else columns + [c for c in match if c not in columns]
     out = []
     for f in files:
-        with pq.ParquetFile(f) as pf:
-            t = pf.read(columns=need, use_threads=False)
+        t = _decoded(f)
+        if need is not None:
+            t = t.select(need)
         mask = None
         for c, v in match.items():
             eq = pc.equal(t[c], v)

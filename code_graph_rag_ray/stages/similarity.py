@@ -268,6 +268,7 @@ def knn_ivf(
 
     # per-query probe cells: n_probe nearest centroids (integer distances)
     qq = _quantize(pa.array([list(map(float, q)) for q in queries]), scale)
+    cent = cent.reshape(-1, qq.shape[1])  # an empty corpus trains (0, 0)
     d = ((qq[:, None, :].astype(np.int64) - cent[None, :, :]) ** 2).sum(axis=2)
     probe_cells = [
         set(cent_ids[np.argsort(d[i], kind="stable")[:n_probe]].tolist())

@@ -74,6 +74,11 @@ def test_planted_rows():
     _check(["no markup at all", "a b c"])       # every guard false
     _check(["<script>only</script>", "plain"])  # one guarded row in the batch
 
+    # entity passes: only &amp;, the chained &amp;lt; and all six at once
+    _check(["a &amp; b", "plain"])
+    _check(["&amp;lt;x&amp;gt;", "&amp;amp;"])
+    _check(["&lt;&gt;&quot;&#39;&nbsp;&amp;", "&amp;nbsp;", "& alone"])
+
 
 _PIECES = st.sampled_from([
     "<", ">", "/", "</", "<br", "<BR", "<hr", "</p>", "</P>", "</div>", "</li>",

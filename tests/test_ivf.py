@@ -47,3 +47,15 @@ def test_partial_probe_recall():
         # on well-separated clusters the query's own cell holds its
         # neighborhood: 1-probe recall stays high
         assert len(a & b) / len(b) >= 0.8, (q, len(a & b))
+
+
+def test_empty_corpus_returns_typed_empty():
+    rows = pa.table({"vec_id": pa.array([], pa.int64()),
+                     "embedding": pa.array([], pa.list_(pa.float64())),
+                     "label": pa.array([], pa.string())})
+    ds = rd.from_arrow(rows).materialize()
+    queries = np.ones((2, 4))
+    got = knn_ivf(ds, queries, [0, 1], k=3, n_clusters=2, n_probe=1).materialize()
+    want = knn_brute_force(ds, queries, [0, 1], k=3).materialize()
+    assert got.count() == 0
+    assert got.schema() == want.schema()

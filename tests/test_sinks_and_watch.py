@@ -116,6 +116,7 @@ def test_query_edges_equals_arrow_filter(tmp_path):
 
     import pyarrow.compute as pc
 
+    from code_graph_rag_ray.stages import serve
     from code_graph_rag_ray.stages.serve import partition_of, query_edges
     from code_graph_rag_ray.state.lineage import resume_materialize
 
@@ -139,10 +140,12 @@ def test_query_edges_equals_arrow_filter(tmp_path):
                 want = want.filter(pc.equal(want[c], v))
         if cols is not None:
             want = want.select(cols)
-        got = query_edges(store, subj=subj, pred=pred, obj=obj, columns=cols)
         case = (subj, pred, obj, cols)
-        assert got.schema.equals(want.schema), case
-        assert _canon(got).equals(_canon(want)), case
+        serve._cache.clear()
+        for run in ("cold", "warm"):
+            got = query_edges(store, subj=subj, pred=pred, obj=obj, columns=cols)
+            assert got.schema.equals(want.schema), (run, case)
+            assert _canon(got).equals(_canon(want)), (run, case)
 
 
 def test_query_edges_partition_count_and_missing_store(tmp_path):
@@ -167,3 +170,124 @@ def test_query_edges_partition_count_and_missing_store(tmp_path):
     materialize_graph(rd.from_arrow(edges), bare, key="subj", sort_by=["subj"],
                       num_partitions=8)
     assert query_edges(bare, subj="E0", num_partitions=8).num_rows == 12
+
+
+def _by_subj(store: str, subj: str) -> pa.Table:
+    from code_graph_rag_ray.stages.serve import query_edges
+
+    return _canon(query_edges(store, subj=subj))
+
+
+def test_serve_cache_sees_rewritten_partitions(tmp_path):
+    """A partition rewritten in the same directory, by a resume after it
+    left the manifest or by a second materialize, is read anew."""
+    import json
+    import os
+
+    import pyarrow.compute as pc
+
+    from code_graph_rag_ray.stages.materialize import materialize_graph
+    from code_graph_rag_ray.stages.serve import partition_of
+    from code_graph_rag_ray.state.lineage import MANIFEST, resume_materialize
+
+    edges = _store_rows()
+    store = str(tmp_path / "store")
+    resume_materialize(rd.from_arrow(edges), store, key="subj",
+                       sort_by=["subj"], num_partitions=16)
+    assert _by_subj(store, "E0").equals(_canon(edges.filter(pc.equal(edges["subj"], "E0"))))
+
+    # drop E0's partition from the manifest; the resume rewrites it from
+    # input whose E0 rows differ
+    mpath = os.path.join(store, MANIFEST)
+    man = json.load(open(mpath))
+    del man["partitions"][f"part={partition_of('E0', 16)}"]
+    json.dump(man, open(mpath, "w"))
+    changed = edges.set_column(2, "obj", pc.binary_join_element_wise(
+        edges["obj"], "x", ""))
+    resume_materialize(rd.from_arrow(changed), store, key="subj",
+                       sort_by=["subj"], num_partitions=16)
+    want = changed.filter(pc.equal(changed["subj"], "E0"))
+    assert _by_subj(store, "E0").equals(_canon(want))
+
+    # a plain materialize of other rows into the same directory
+    other = pa.table({"subj": ["E0"], "pred": ["new"], "obj": ["E9"],
+                      "provenance_url": ["https://y/0"]})
+    materialize_graph(rd.from_arrow(other), store, key="subj",
+                      sort_by=["subj"], num_partitions=16)
+    assert _by_subj(store, "E0").equals(other)
+
+
+def test_serve_cache_prunes_and_bounds(tmp_path, monkeypatch):
+    """Entries of a removed store go at the next miss; a file larger than
+    the budget is not kept, and the cached bytes never pass the budget."""
+    import shutil
+
+    from code_graph_rag_ray.stages import serve
+    from code_graph_rag_ray.stages.materialize import materialize_graph
+    from code_graph_rag_ray.state.lineage import parquet_files
+
+    edges = _store_rows()
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    for store in (a, b):
+        materialize_graph(rd.from_arrow(edges), store, key="subj",
+                          sort_by=["subj"], num_partitions=16)
+    serve._cache.clear()
+    serve.query_edges(a, obj="E1")
+    assert set(serve._cache) == set(parquet_files(a))
+    shutil.rmtree(a)
+    serve.query_edges(b, subj="E0")
+    assert len(serve._cache) == 1 and next(iter(serve._cache)).startswith(b)
+
+    sizes = {f: serve._decoded(f).nbytes for f in parquet_files(b)}
+    budget = max(sizes.values()) + min(sizes.values())
+    monkeypatch.setattr(serve, "_CACHE_BYTES", budget)
+    serve._cache.clear()
+    for f in sorted(sizes, key=sizes.get) * 2:
+        serve._decoded(f)
+        assert sum(t.nbytes for _, t in serve._cache.values()) <= budget
+    assert 0 < len(serve._cache) < len(sizes)
+    monkeypatch.setattr(serve, "_CACHE_BYTES", max(sizes.values()) - 1)
+    serve._cache.clear()
+    big = max(sizes, key=sizes.get)
+    serve._decoded(big)
+    assert big not in serve._cache
+
+
+def test_serve_cache_threads(tmp_path):
+    """Four threads looking up the same keys get the same results."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    from code_graph_rag_ray.stages import serve
+    from code_graph_rag_ray.state.lineage import resume_materialize
+
+    edges = _store_rows()
+    store = str(tmp_path / "store")
+    resume_materialize(rd.from_arrow(edges), store, key="subj",
+                       sort_by=["subj"], num_partitions=16)
+    keys = [f"E{i % 6}" for i in range(40)]
+
+    def run(_):
+        return [(_by_subj(store, k), _canon(serve.query_edges(store, obj=k)))
+                for k in keys]
+
+    serve._cache.clear()
+    with ThreadPoolExecutor(4) as pool:
+        results = list(pool.map(run, range(4)))
+    for got in results[1:]:
+        assert all(x.equals(y) and u.equals(v)
+                   for (x, u), (y, v) in zip(got, results[0]))
+    assert results[0][0][0].num_rows == 12
+
+
+def test_serve_imports_without_ray_or_pandas():
+    """The serve path needs no Ray session: importing it loads neither
+    Ray nor pandas."""
+    import subprocess
+    import sys
+
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, code_graph_rag_ray.stages.serve; "
+         "print(sorted(m for m in ('ray', 'pandas') if m in sys.modules))"],
+        capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]", out.stdout + out.stderr
