@@ -21,9 +21,9 @@ per file per lookup; any difference is a miss that replaces the entry.
 This relies on the store's write contract: writers land a partition
 through a tmp name and ``os.replace`` and never rewrite a file in place,
 so a rewritten partition is a new inode and is never served stale. The
-cache holds at most ``_CACHE_BYTES`` of decoded tables and evicts the
-least recently used entries past that, so a file larger than the budget
-is not kept. Every miss also drops the entries whose file is gone, so a
+cache holds at most ``_CACHE_BYTES`` of decoded tables: it evicts the
+least recently used entries past that and never keeps a file larger than
+the budget. Every miss also drops the entries whose file is gone, so a
 deleted store does not stay resident until eviction. A miss decodes the
 whole file with ``pq.ParquetFile(f).read(use_threads=False)``, outside
 the cache's lock; ``columns=`` and the filters apply to the cached table
